@@ -91,10 +91,10 @@ void BM_SchedulerSelfReschedule(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerSelfReschedule)->Arg(10000);
 
-// Same-deadline storm: many events sharing one exact timestamp, the
-// shape run_until's burst dequeue is built for (a synchronized window of
-// deliveries landing together). The wheel collects the whole bucket in
-// one sweep; the old heap paid a log-n pop per event.
+// Same-deadline storm: many events sharing one exact timestamp (a
+// synchronized window of deliveries landing together). The wheel
+// collects the whole bucket in one sweep and sorts it once; the old heap
+// paid a log-n pop per event.
 void BM_SchedulerSameDeadlineStorm(benchmark::State& state) {
   const long n = state.range(0);
   for (auto _ : state) {

@@ -30,8 +30,6 @@ namespace detail {
 /// sharding (docs/PARALLELISM.md) is the *destination* shard's pool, not
 /// the pool the cut link's transmitter allocates from.
 void link_deliver(Link& link, PacketPool& pool, PacketHandle h);
-void link_deliver_burst(Link& link, PacketPool& pool, const PacketHandle* hs,
-                        std::size_t n);
 void link_tx_complete(Link& link);
 }  // namespace detail
 
@@ -53,8 +51,8 @@ using EventId = std::uint64_t;
 /// scheduling is an O(1) bucket append for every realistic deadline —
 /// link serialization, propagation, RTO re-arms — instead of an O(log n)
 /// heap sift. Execution drains one bucket at a time into a small sorted
-/// run buffer keyed (time, insertion sequence) and popped from the
-/// front, which preserves the exact FIFO-for-simultaneous-events
+/// run buffer keyed (time, insertion sequence) and popped in that order,
+/// which preserves the exact FIFO-for-simultaneous-events
 /// contract of the historical binary-heap implementation: runs are
 /// byte-identical. See docs/DATAPATH.md.
 ///
@@ -149,10 +147,7 @@ class Scheduler {
   /// Run events until the queue is empty or the next event is after
   /// `horizon`. Returns the number of events executed. The clock is left at
   /// `horizon` (or at the last event's time if the queue drained first and
-  /// that was earlier). Events due inside the horizon are dispatched in
-  /// bursts: a batch is popped, packet-pool slots are prefetched, and
-  /// same-deadline deliveries on one link go through a single burst call
-  /// into the link — all without changing the (time, seq) execution order.
+  /// that was earlier).
   std::uint64_t run_until(Time horizon);
 
   /// Run a single event if one is pending; returns false when empty.
@@ -162,8 +157,9 @@ class Scheduler {
   /// per-kind event counts plus sampled wall-clock per section (see
   /// telemetry/profile.hpp). The caller keeps ownership. Wall-clock
   /// never feeds back into simulated time, so profiling cannot change
-  /// results; with no profile attached the hot loop pays one predicted
-  /// branch per event.
+  /// results. run_until picks the profiled or unprofiled instantiation
+  /// of its drain loop once per call, so an unprofiled run pays nothing
+  /// per event.
   void set_profile(telemetry::LoopProfile* p) noexcept { profile_ = p; }
 
   std::size_t pending_count() const noexcept { return live_count_; }
@@ -228,13 +224,9 @@ class Scheduler {
 
   /// One callback slot. `gen` is bumped every time the slot is vacated
   /// (run or cancelled), which atomically invalidates every outstanding
-  /// EventId minted for the previous occupant. `time`/`seq` mirror the
-  /// occupant's wheel entry so cancel() can find it by binary search
-  /// when the run buffer holds everything (direct mode).
+  /// EventId minted for the previous occupant.
   struct Slot {
     util::SmallFn fn;
-    Time time = 0;
-    std::uint64_t seq = 0;
     std::uint32_t gen = 1;
     bool live = false;
   };
@@ -247,26 +239,11 @@ class Scheduler {
       static_cast<std::int64_t>(kWheelSlots) - 1;
   static constexpr int kLevels = 3;
   static constexpr std::size_t kBitmapWords = kWheelSlots / 64;
-  /// Max events popped per dispatch burst in run_until.
-  static constexpr std::size_t kMaxBatch = 64;
-  /// Direct mode: while every pending entry fits in a run buffer this
-  /// small, schedule straight into it (sorted insert) and skip the wheel
-  /// entirely. A near-empty schedule — one link serializing, a window's
-  /// worth of in-flight packets — stays in a few hot cache lines, which
-  /// beats any bucket structure; the wheel takes over past this size.
-  /// Sorted-insert cost is bounded by this size (the ring shifts the
-  /// shorter side, so at worst half of it moves), so it must stay small
-  /// enough that the bound is cheap.
-  static constexpr std::size_t kDirectMax = 128;
-  /// First allocation for the run-buffer ring. Strictly greater than
-  /// kDirectMax so direct mode never grows past the initial reservation,
-  /// and a power of two (ring indices wrap by mask).
-  static constexpr std::size_t kDueInitialCap = 256;
 
   /// Wheel entries live in one node arena shared by every bucket of every
   /// level; buckets are intrusive singly-linked lists (a head index plus
-  /// per-node next). Order within a bucket does not matter — the due heap
-  /// re-sorts by (time, seq) — so insertion is LIFO at the head. One
+  /// per-node next). Order within a bucket does not matter — the run
+  /// buffer re-sorts by (time, seq) — so insertion is LIFO at the head. One
   /// arena means the steady state is allocation-free even though the set
   /// of active bucket indices slides with simulated time: nodes recycle
   /// through a free list and only a new high-water mark allocates.
@@ -330,10 +307,6 @@ class Scheduler {
   /// fills in the callback and files the wheel entry.
   std::pair<Slot*, EventId> claim_slot();
 
-  /// File `e` where it belongs for its deadline: the run buffer while in
-  /// direct mode or when its tick is not after the wheel position, else
-  /// the shallowest wheel level whose span covers it, else the overflow
-  /// heap. Does not touch entries_ (callers account).
   /// Build the seq word for a locally scheduled event: insertion instant
   /// now() in the high bits, intra-tick counter below, local bit set.
   /// The packed (order-tick | intra | local) prefix is cached in
@@ -360,38 +333,11 @@ class Scheduler {
     }
   }
 
+  /// File `e` where it belongs for its deadline: the run buffer when its
+  /// tick is not after the wheel position, else the shallowest wheel
+  /// level whose span covers it, else the overflow heap. Does not touch
+  /// entries_ (callers account).
   void place(const Entry& e);
-  /// The wheel/overflow part of place(), for deadlines after cur_tick_.
-  void place_wheel(const Entry& e);
-  /// Leave direct mode: move run-buffer entries beyond the wheel
-  /// position into the wheel (dropping cancelled callbacks), so the
-  /// run buffer again holds only ticks at or before cur_tick_.
-  void spill_due();
-  void due_push(const Entry& e);
-  /// Double (or first-allocate) the ring, unwrapping into logical order.
-  void due_grow();
-  /// Remove the entry at logical index `p`, shifting whichever side of
-  /// the ring is shorter.
-  void due_erase(std::size_t p);
-  std::size_t due_size() const noexcept { return due_count_; }
-  bool due_empty() const noexcept { return due_count_ == 0; }
-  /// Entry at logical index `i` (0 == front). The ring size is always a
-  /// power of two; due_mask_ caches size-1 so the hot accessors skip the
-  /// vector's pointer-subtract size computation (this shows up in
-  /// timer-churn profiles, where every cancel and sorted insert wraps
-  /// indices several times).
-  Entry& due_at(std::size_t i) noexcept {
-    return due_[(due_head_ + i) & due_mask_];
-  }
-  const Entry& due_at(std::size_t i) const noexcept {
-    return due_[(due_head_ + i) & due_mask_];
-  }
-  const Entry& due_front() const noexcept { return due_[due_head_]; }
-  const Entry& due_back() const noexcept { return due_at(due_count_ - 1); }
-  void due_pop_front() noexcept {
-    due_head_ = (due_head_ + 1) & due_mask_;
-    if (--due_count_ == 0) due_head_ = 0;
-  }
   std::int32_t alloc_node();
   void bucket_push(Level& l, std::size_t idx, const Entry& e);
   /// Move the contents of level-0 bucket `idx` into the run buffer,
@@ -409,13 +355,14 @@ class Scheduler {
   /// remains inside the limit. Only call with an empty run buffer.
   bool advance(std::int64_t limit_tick);
   /// Execute one entry (already popped from the run buffer). Returns
-  /// false if it was a cancelled callback.
+  /// false if it was a cancelled callback. With kProfiled the event is
+  /// counted in profile_ and, when the sampling gate fires, clocked.
+  template <bool kProfiled>
   bool dispatch(const Entry& e);
-  /// run_until with the self-profile attached: the same drain loop with
-  /// per-section event counting and sampled wall-clock timing. Kept as a
-  /// separate body so the unprofiled path stays branch-for-branch
-  /// identical to the PR 6 fast path.
-  std::uint64_t run_until_profiled(Time horizon);
+  /// The drain loop behind run_until. kProfiled adds the self-profile's
+  /// per-section counts and sampled clocks; the event order is the same.
+  template <bool kProfiled>
+  std::uint64_t run_loop(Time horizon);
 
   void set_bit(Level& l, std::size_t idx) noexcept {
     std::uint64_t& w = l.bitmap[idx >> 6];
@@ -440,23 +387,11 @@ class Scheduler {
   std::array<Level, kLevels> levels_;
   std::vector<Node> arena_;              ///< backing store for all buckets
   std::vector<std::int32_t> node_free_;  ///< recycled arena nodes, LIFO
-  /// Run buffer: a power-of-two ring of entries sorted ascending by
-  /// (time, seq), consumed from the front. In wheel mode it holds one
-  /// tick, refilled by advance() when empty; in direct mode (wheel and
-  /// overflow empty, few pending) it holds everything and is the entire
-  /// scheduler. The ring matters for direct mode's insert cost: link
-  /// deadlines come in two bands (tx-complete soon, delivery after the
-  /// propagation delay), so near-band inserts land close to the front
-  /// and far-band inserts close to the back — shifting the shorter side
-  /// makes both O(few entries) where a flat sorted vector paid a
-  /// half-buffer memmove for every near-band insert.
-  std::vector<Entry> due_;       ///< ring storage; size is a power of two
-  std::size_t due_head_ = 0;     ///< physical index of the logical front
-  std::size_t due_count_ = 0;    ///< live entries in the ring
-  /// due_.size() - 1, maintained by due_grow(). Wraps to SIZE_MAX while
-  /// the ring is unallocated, which is harmless: every access masks an
-  /// index that is only nonzero once the ring exists.
-  std::size_t due_mask_ = static_cast<std::size_t>(-1);
+  /// Run buffer: the entries of ticks at or before cur_tick_, sorted
+  /// descending by (time, seq) so the next event is back(). It holds
+  /// about one level-0 tick's worth and is refilled by advance() when
+  /// empty.
+  std::vector<Entry> due_;
   std::vector<Entry> overflow_;  ///< min-heap: beyond the level-2 span
   std::int64_t cur_tick_ = 0;    ///< level-0 tick of the last collected bucket
   std::size_t entries_ = 0;      ///< total entries held (live + cancelled)
@@ -483,7 +418,7 @@ class Scheduler {
   // Telemetry handles, resolved once at construction; updates on the hot
   // path are single indirect stores (nothing at all under
   // PHI_TELEMETRY_OFF), and the executed counter is batched per
-  // run_until burst.
+  // run_until call.
   telemetry::Counter* ctr_scheduled_;
   telemetry::Counter* ctr_executed_;
   telemetry::Counter* ctr_cancelled_;

@@ -23,10 +23,6 @@ namespace detail {
 void link_deliver(Link& link, PacketPool& pool, PacketHandle h) {
   link.complete_delivery(pool, h);
 }
-void link_deliver_burst(Link& link, PacketPool& pool, const PacketHandle* hs,
-                        std::size_t n) {
-  link.complete_delivery_burst(pool, hs, n);
-}
 void link_tx_complete(Link& link) { link.complete_transmission(); }
 }  // namespace detail
 
@@ -183,23 +179,6 @@ void Link::complete_delivery(PacketPool& pool, PacketHandle h) {
   }
   dst_.deliver(p);
   pool.release(h);
-}
-
-void Link::complete_delivery_burst(PacketPool& pool, const PacketHandle* hs,
-                                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) pool.prefetch(hs[i + 1]);
-    const Packet& p = pool.get(hs[i]);
-    if (p.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        sl->point(p.trace, "node.deliver", sched_->now(), "node",
-                  static_cast<double>(dst_.id()), "seq",
-                  static_cast<double>(p.seq));
-      }
-    }
-    dst_.deliver(p);
-    pool.release(hs[i]);
-  }
 }
 
 void Link::complete_transmission() {

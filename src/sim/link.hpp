@@ -119,9 +119,6 @@ class Link {
  private:
   friend void detail::link_deliver(Link& link, PacketPool& pool,
                                    PacketHandle h);
-  friend void detail::link_deliver_burst(Link& link, PacketPool& pool,
-                                         const PacketHandle* hs,
-                                         std::size_t n);
   friend void detail::link_tx_complete(Link& link);
 
   void start_transmission(PacketHandle h);
@@ -132,11 +129,6 @@ class Link {
   /// handle was re-homed into the destination shard's pool, which is not
   /// the pool this link transmits from.
   void complete_delivery(PacketPool& pool, PacketHandle h);
-  /// Burst form: `n` same-deadline deliveries on this link, in schedule
-  /// order, with the next packet's pool slot prefetched while the
-  /// current one is being consumed.
-  void complete_delivery_burst(PacketPool& pool, const PacketHandle* hs,
-                               std::size_t n);
   void complete_transmission();
 
   /// Resolve the labeled registry handles in the calling thread's

@@ -56,18 +56,6 @@ class PacketPool {
     return chunks_[h >> kChunkShift][h & kChunkMask];
   }
 
-  /// Hint the prefetcher at the slot behind `h`: the scheduler issues
-  /// this while batching due deliveries so the packet bytes are in cache
-  /// by the time the destination node reads them.
-  void prefetch(PacketHandle h) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    if (h < high_water_)
-      __builtin_prefetch(&chunks_[h >> kChunkShift][h & kChunkMask], 0, 3);
-#else
-    (void)h;
-#endif
-  }
-
   /// Live handles (acquired, not yet released).
   std::size_t in_use() const noexcept { return in_use_; }
   /// Slots ever created; the steady-state bound on pool memory.

@@ -1,12 +1,12 @@
 // profile.hpp — event-loop self-profiling. A LoopProfile is attached to
 // a sim::Scheduler (Scheduler::set_profile) and accounts where
 // run_until spends its wall-clock time, split by event-loop section:
-// timing-wheel advance/scan, delivery bursts, tx-complete events, and
+// timing-wheel advance/scan, packet deliveries, tx-complete events, and
 // scheduled callbacks (TCP timers, apps, probes). Event counts are
-// exact; wall-clock is *sampled* — one event in kSampleStride is timed
-// with steady_clock — so the measurement itself stays cheap enough to
-// leave on during benchmarks. Wall-clock never feeds back into
-// simulated time, so profiling cannot perturb results.
+// exact; wall-clock is *sampled* — one event or wheel advance in
+// kSampleStride is timed with steady_clock — so the measurement itself
+// stays cheap enough to leave on during benchmarks. Wall-clock never
+// feeds back into simulated time, so profiling cannot perturb results.
 //
 // Under PHI_TELEMETRY_OFF the class is a stub and the scheduler hook
 // compiles out.
@@ -32,7 +32,7 @@ class LoopProfile {
  public:
   enum Section : unsigned {
     kWheelAdvance = 0,  ///< wheel bitmap scans, cascades, run-buffer fill
-    kDelivery,          ///< packet deliveries (incl. same-link bursts)
+    kDelivery,          ///< packet deliveries
     kTxComplete,        ///< serialization-complete events
     kCallback,          ///< SmallFn callbacks: TCP timers, apps, probes
     kSectionCount

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -159,6 +160,33 @@ TEST(Scheduler, CompactionPreservesOrderAndLiveEvents) {
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i)
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Scheduler, MidDrainInsertsIntoRunBufferKeepFifoOrder) {
+  // Level-0 ticks are 1.024 us, so [10'240, 11'264) ns is one tick: all
+  // four events are collected into the run buffer together. The first
+  // callback then inserts into the middle of that non-empty buffer, with
+  // one deadline strictly between two pending ones and two tied with
+  // pending ones; ties run after the earlier-scheduled event.
+  Scheduler s;
+  std::vector<std::pair<char, util::Time>> order;
+  const auto note = [&](char name) {
+    return [&order, &s, name] { order.emplace_back(name, s.now()); };
+  };
+  s.schedule_at(10'300, [&] {
+    order.emplace_back('A', s.now());
+    s.schedule_at(10'600, note('X'));  // between B and C
+    s.schedule_at(11'100, note('Y'));  // tied with D
+    s.schedule_at(10'500, note('Z'));  // tied with B
+  });
+  s.schedule_at(10'500, note('B'));
+  s.schedule_at(10'700, note('C'));
+  s.schedule_at(11'100, note('D'));
+  s.run_until(20'000);
+  const std::vector<std::pair<char, util::Time>> want = {
+      {'A', 10'300}, {'B', 10'500}, {'Z', 10'500}, {'X', 10'600},
+      {'C', 10'700}, {'D', 11'100}, {'Y', 11'100}};
+  EXPECT_EQ(order, want);
 }
 
 // Property: random schedule/cancel workload executes in nondecreasing

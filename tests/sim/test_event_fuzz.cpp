@@ -6,11 +6,11 @@
 //   - same-timestamp storms (hundreds of events on one deadline),
 //   - deadlines spanning level 0/1/2 and the far-future overflow heap,
 //   - heavy cancel churn (compaction sweeps),
-//   - small pending sets (direct run-buffer mode) and large ones (wheel
-//     mode), including the spill/graduate transitions between them,
+//   - pending sets that swing between small and large, so the wheel
+//     drains empty and refills,
 //   - mid-drain rescheduling from inside callbacks.
 // CI runs this under ASan+UBSan, where the arena/bucket pointer chasing
-// and the direct-mode cancel-erase get memory-checked too.
+// and the compaction sweeps get memory-checked too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,8 +63,7 @@ TEST_P(SchedulerFuzz, RandomChurnExecutesInFifoTimeOrder) {
 
   // Phase interleaving: bursts of scheduling at mixed horizons, cancel
   // waves, and partial drains, repeated. Partial drains are what force
-  // cascades, overflow migration, and wheel->direct collapses while
-  // events are still pending.
+  // cascades and overflow migration while events are still pending.
   for (int round = 0; round < 6; ++round) {
     // Same-timestamp storm: a burst sharing one exact deadline.
     const util::Time storm_t =
@@ -72,8 +71,8 @@ TEST_P(SchedulerFuzz, RandomChurnExecutesInFifoTimeOrder) {
         static_cast<util::Time>(rng.below(static_cast<std::uint64_t>(kSpans[round % 4])));
     const int storm_n = 50 + static_cast<int>(rng.below(250));
     for (int i = 0; i < storm_n; ++i) schedule(storm_t);
-    // Scatter across all regimes (keeps the pending set large enough to
-    // stay in wheel mode some rounds, small enough for direct in others).
+    // Scatter across all regimes (the pending set is large some rounds,
+    // small in others).
     const int scatter_n = static_cast<int>(rng.below(300));
     for (int i = 0; i < scatter_n; ++i) {
       const util::Time span = kSpans[rng.below(4)];
@@ -136,10 +135,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzz,
                          ::testing::Values(0xA11CE, 0xB0B, 0xC0FFEE, 7, 21,
                                            1337));
 
-// Direct <-> wheel mode transitions with interleaved cancels: keeps the
-// pending set oscillating around the direct-mode capacity so schedules
-// land on both sides of the spill/graduate boundary, and cancels hit the
-// direct-mode erase path as well as the wheel's lazy sweep.
+// Cancel waves on an oscillating pending set: alternating small and
+// large waves, half of each cancelled newest-first, so dead entries pile
+// up in the wheel buckets and the run buffer between drains and the
+// compaction sweep runs on both, while live events keep their order.
 TEST(SchedulerFuzz, ModeBoundaryOscillationKeepsOrder) {
   util::Rng rng(0x5EED);
   Scheduler s;
@@ -148,7 +147,7 @@ TEST(SchedulerFuzz, ModeBoundaryOscillationKeepsOrder) {
   std::uint64_t order = 0;
   std::vector<std::pair<EventId, Expected>> pending;
   for (int wave = 0; wave < 40; ++wave) {
-    // Alternate between under- and over-filling the direct buffer.
+    // Alternate small and large waves.
     const int n = wave % 2 == 0 ? 40 : 200;
     for (int i = 0; i < n; ++i) {
       const util::Time t =
@@ -157,8 +156,8 @@ TEST(SchedulerFuzz, ModeBoundaryOscillationKeepsOrder) {
       pending.emplace_back(
           s.schedule_at(t, [&executed, ex] { executed.push_back(ex); }), ex);
     }
-    // Cancel half of the most recent wave (LIFO-ish, stresses the
-    // direct-mode back-of-buffer fast path and binary-search erase).
+    // Cancel half of the most recent wave, newest-first (the re-armed
+    // timer pattern).
     for (int i = 0; i < n / 2 && !pending.empty(); ++i) {
       const std::size_t pick = pending.size() - 1 - rng.below(pending.size());
       if (s.cancel(pending[pick].first))
