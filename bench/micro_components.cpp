@@ -437,6 +437,54 @@ void BM_ContextServerRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextServerRoundTrip);
 
+// One aggregator delivery at the root: range(0) final reports, then 64
+// lookups, all at one simulated instant, on 4 paths whose 10-s delivery
+// windows hold ~4k transfers each (the fat-tree root's mean window).
+// Batches are spaced so that each window keeps its size.
+void BM_ContextServerBatchedLookups(benchmark::State& state) {
+  constexpr core::PathKey kPaths = 4;
+  constexpr std::int64_t kWindowEntries = 4096;  // per path
+  constexpr int kLookups = 64;
+  constexpr std::uint64_t kSenders = 4096;
+  const std::int64_t reports = state.range(0);
+  const core::ContextServerConfig cfg;
+  core::ContextServer server(cfg);
+  for (core::PathKey p = 0; p < kPaths; ++p) server.set_path_capacity(p, 1e9);
+  const auto report = [&server](std::uint64_t sender, util::Time end) {
+    core::Report r;
+    r.path = sender % kPaths;
+    r.sender_id = sender;
+    r.started = end - 50 * util::kMillisecond;
+    r.ended = end;
+    r.bytes = 100000;
+    r.min_rtt_s = 0.15;
+    r.mean_rtt_s = 0.18;
+    server.report(r);
+  };
+  // Prefill: every path's window full, ending at `now`.
+  const std::int64_t prefill =
+      kWindowEntries * static_cast<std::int64_t>(kPaths);
+  util::Time now = cfg.window;
+  for (std::int64_t i = 0; i < prefill; ++i)
+    report(kSenders + i, i * cfg.window / prefill);
+  const util::Duration gap = cfg.window * reports / prefill;
+  std::uint64_t opened = 0;
+  std::uint64_t closed = 0;
+  for (auto _ : state) {
+    now += gap;
+    for (std::int64_t i = 0; i < reports; ++i)
+      report(closed++ % kSenders, now);
+    for (int i = 0; i < kLookups; ++i) {
+      const std::uint64_t s = opened++ % kSenders;
+      const auto reply =
+          server.lookup(core::LookupRequest{s % kPaths, s, now});
+      benchmark::DoNotOptimize(reply);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * (reports + kLookups));
+}
+BENCHMARK(BM_ContextServerBatchedLookups)->Arg(16)->Arg(64);
+
 void BM_IpfixSampling(benchmark::State& state) {
   flow::PacketSampler sampler(4096);
   util::Rng rng(7);

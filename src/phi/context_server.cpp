@@ -14,6 +14,7 @@ ContextServer::ContextServer(ContextServerConfig cfg,
   ctr_lookups_ = &reg.counter("phi.context.lookups");
   ctr_reports_ = &reg.counter("phi.context.reports");
   ctr_dup_reports_ = &reg.counter("phi.context.duplicate_reports");
+  ctr_unleased_reports_ = &reg.counter("phi.context.unleased_reports");
   ctr_lease_grants_ = &reg.counter("phi.context.lease_grants");
   ctr_lease_expiries_ = &reg.counter("phi.context.lease_expiries");
   ctr_gc_sweeps_ = &reg.counter("phi.context.gc_sweeps");
@@ -33,7 +34,9 @@ void ContextServer::set_recommendations(RecommendationTable table) {
 }
 
 void ContextServer::set_path_capacity(PathKey path, util::Rate bps) {
-  paths_[path].capacity = bps;
+  PathState& st = paths_[path];
+  st.capacity = bps;
+  ++st.window_gen;
 }
 
 void ContextServer::set_external_utilization(PathKey path, double u,
@@ -50,24 +53,37 @@ util::Time ContextServer::lease_deadline(util::Time now) const {
                         : std::numeric_limits<util::Time>::max();
 }
 
+void ContextServer::grant_lease(PathState& st, std::uint64_t sender,
+                                util::Time now) {
+  const util::Time deadline = lease_deadline(now);
+  st.active[sender] = deadline;
+  st.lease_floor = std::min(st.lease_floor, deadline);
+}
+
 void ContextServer::expire(PathState& st, util::Time now) const {
   const util::Time cutoff = now - cfg_.window;
-  while (!st.window.empty() && st.window.front().end < cutoff)
+  while (!st.window.empty() && st.window.front().end < cutoff) {
     st.window.pop_front();
+    ++st.window_gen;
+  }
 }
 
 std::size_t ContextServer::sweep_leases(PathState& st,
                                         util::Time now) const {
-  if (cfg_.lease <= 0) return 0;
+  // Only deadlines before `now` lapse, and none is before the floor.
+  if (cfg_.lease <= 0 || now <= st.lease_floor) return 0;
   std::size_t expired = 0;
+  util::Time floor = std::numeric_limits<util::Time>::max();
   for (auto it = st.active.begin(); it != st.active.end();) {
     if (it->second < now) {
       it = st.active.erase(it);
       ++expired;
     } else {
+      floor = std::min(floor, it->second);
       ++it;
     }
   }
+  st.lease_floor = floor;
   if (expired > 0) {
     // Every expiry is a full lease of silence: the smoothed sender count
     // was tracking connections that no longer exist, so snap it to the
@@ -131,7 +147,7 @@ LookupReply ContextServer::lookup(const LookupRequest& req) {
   PathState& st = paths_[req.path];
   const util::Time now = now_or(req.at);
   sweep_leases(st, now);
-  st.active[req.sender_id] = lease_deadline(now);
+  grant_lease(st, req.sender_id, now);
   ctr_lease_grants_->add();
   st.senders.add(static_cast<double>(st.active.size()));
   if (auto* t = telemetry::tracer();
@@ -213,14 +229,15 @@ void ContextServer::report(const Report& r) {
   }
   sweep_leases(st, now);
   if (r.kind == Report::Kind::kFinal) {
-    st.active.erase(r.sender_id);
+    if (st.active.erase(r.sender_id) == 0) ctr_unleased_reports_->add();
   } else {
     // Mid-stream progress is proof of life: renew (or establish) the
     // connection's lease but keep it counted in n.
-    st.active[r.sender_id] = lease_deadline(now);
+    grant_lease(st, r.sender_id, now);
   }
 
   st.window.push_back(Delivery{r.started, r.ended, r.bytes});
+  ++st.window_gen;  // also covers the capacity fallback below
   expire(st, now);
 
   if (r.min_rtt_s > 0.0) {
@@ -376,7 +393,12 @@ CongestionContext ContextServer::context(PathKey path) const {
   const util::Time now = now_or(last_message_at_);
   expire(st, now);
   sweep_leases(st, now);
-  ctx.utilization = utilization_of(st, now);
+  if (st.u_gen != st.window_gen || st.u_at != now) {
+    st.u = utilization_of(st, now);
+    st.u_gen = st.window_gen;
+    st.u_at = now;
+  }
+  ctx.utilization = st.u;
   if (st.external_u >= 0.0 && now - st.external_at <= st.external_ttl) {
     // A shared bottleneck carries everyone's traffic: the federated view
     // can only reveal load the local estimate missed.

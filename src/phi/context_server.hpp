@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -147,6 +148,19 @@ class ContextServer : public ContextSource, public ContextService {
     /// Open connections: sender id -> lease deadline (Time max when
     /// liveness is disabled).
     std::unordered_map<std::uint64_t, util::Time> active;
+    /// At or below every deadline in `active`, so a sweep at a `now` not
+    /// past it cannot expire anything. Grants and renewals lower it, a
+    /// full sweep sets it exactly, removals leave it (still a bound).
+    /// Starts at Time min so the first sweep of a state runs in full.
+    util::Time lease_floor = std::numeric_limits<util::Time>::min();
+    /// utilization_of() memo: `window_gen` counts changes to its inputs
+    /// (window pushes and pops, capacity); `u` stands while neither the
+    /// count nor `now` has moved since it was computed. An aggregator's
+    /// batch of same-instant lookups then costs one window scan.
+    std::uint64_t window_gen = 1;
+    std::uint64_t u_gen = 0;
+    util::Time u_at = 0;
+    double u = 0.0;
     util::Ewma queue_delay{0.3};
     util::Ewma loss{0.3};
     util::Ewma senders{0.3};
@@ -161,6 +175,8 @@ class ContextServer : public ContextSource, public ContextService {
     return clock_ ? clock_() : fallback;
   }
   util::Time lease_deadline(util::Time now) const;
+  /// Grant or renew `sender`'s lease on `st` from `now`.
+  void grant_lease(PathState& st, std::uint64_t sender, util::Time now);
   void expire(PathState& st, util::Time now) const;
   /// Drop active connections whose lease lapsed; returns how many.
   std::size_t sweep_leases(PathState& st, util::Time now) const;
@@ -193,6 +209,9 @@ class ContextServer : public ContextSource, public ContextService {
   telemetry::Counter* ctr_lookups_;
   telemetry::Counter* ctr_reports_;
   telemetry::Counter* ctr_dup_reports_;
+  /// Final reports whose sender held no open lease (never looked up yet,
+  /// already expired, or already closed).
+  telemetry::Counter* ctr_unleased_reports_;
   telemetry::Counter* ctr_lease_grants_;
   telemetry::Counter* ctr_lease_expiries_;
   telemetry::Counter* ctr_gc_sweeps_;

@@ -88,8 +88,11 @@ struct Report {
 
   bool has_report_id() const noexcept { return epoch != 0; }
   /// 64-bit key of (sender_id, epoch, seq) for the recently-seen set.
-  /// Mixes the fields so distinct identities collide no more often than a
-  /// random 64-bit hash would.
+  /// A boost-style hash_combine, not a random hash: neighbouring
+  /// identities collide often. Senders 900000-900511 x epochs 1-399 map
+  /// to only 32,434 keys (e.g. (900000, 65) and (900001, 2)), so a
+  /// fat-tree churn run drops some genuine reports as duplicates. A
+  /// better mix changes every Phi result and needs its own re-baseline.
   std::uint64_t report_key() const noexcept {
     std::uint64_t h = sender_id;
     h ^= epoch + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
