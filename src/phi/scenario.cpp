@@ -164,8 +164,7 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
     const sim::ShardPlan plan =
         sim::plan_shards(t.net(), spec.sharding.shards);
     if (plan.shards > 1) {
-      srun = std::make_unique<sim::ShardedRun>(t.net(), plan,
-                                               spec.sharding.ring_capacity);
+      srun = std::make_unique<sim::ShardedRun>(t.net(), plan);
       for (std::size_t p = 0; p < t.path_count(); ++p)
         srun->adopt_monitor(t.path_monitor(p), t.path_link(p));
     }
@@ -461,6 +460,11 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
       srun ? srun->executed_events() : t.scheduler().executed_count();
   m.shards_used = srun ? srun->shards() : 1;
   m.boundary_messages = srun ? srun->boundary_messages() : 0;
+  if (srun) {
+    for (int sh = 0; sh < srun->shards(); ++sh)
+      m.per_shard.push_back(
+          {srun->executed_events(sh), srun->boundary_in(sh)});
+  }
   double bits = 0, on_time = 0;
   util::RunningStats rtt;
   double min_rtt = 0;

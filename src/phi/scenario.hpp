@@ -54,9 +54,9 @@ struct ShardSpec {
   /// auto-partitioner may clamp it (and falls back to serial when no
   /// feasible cut exists).
   int shards = 1;
-  /// Per-cut-link SPSC ring capacity (messages); overflow spills to a
-  /// locked vector, so this is a performance knob, not a correctness
-  /// bound.
+  /// Ignored. Cross-shard packets travel in per-window buffers that grow
+  /// with the traffic, so nothing is reserved up front; the field stays
+  /// only for callers that still assign it.
   std::size_t ring_capacity = 4096;
 };
 
@@ -212,6 +212,12 @@ struct PathMetrics {
   std::uint64_t bytes_transmitted = 0;
 };
 
+/// One shard's share of a sharded run's work.
+struct ShardLoad {
+  std::uint64_t events = 0;       ///< events its scheduler executed
+  std::uint64_t boundary_in = 0;  ///< packets that crossed into it
+};
+
 struct ScenarioMetrics {
   double throughput_bps = 0;      ///< aggregate bits / aggregate on-time
   double mean_queue_delay_s = 0;  ///< bottleneck per-packet queueing delay
@@ -231,6 +237,9 @@ struct ScenarioMetrics {
   int shards_used = 1;
   /// Packets that crossed a shard boundary (0 for serial runs).
   std::uint64_t boundary_messages = 0;
+  /// Per-shard split of events_executed and boundary_messages (by
+  /// destination shard), in shard order; empty for serial runs.
+  std::vector<ShardLoad> per_shard;
   std::vector<GroupMetrics> groups;
   std::vector<SenderMetrics> per_sender;  ///< sender-list order
   std::vector<PathMetrics> paths;         ///< Topology path order

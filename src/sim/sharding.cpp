@@ -4,74 +4,25 @@
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "sim/node.hpp"
 
 namespace phi::sim {
 
-BoundaryRing::BoundaryRing(std::size_t capacity) {
-  std::size_t cap = 2;
-  while (cap < capacity) cap <<= 1;
-  buf_.resize(cap);
-  mask_ = cap - 1;
-}
-
-bool BoundaryRing::try_push(const BoundaryMessage& m) noexcept {
-  const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  if (t - h == buf_.size()) return false;
-  buf_[static_cast<std::size_t>(t) & mask_] = m;
-  tail_.store(t + 1, std::memory_order_release);
-  return true;
-}
-
-bool BoundaryRing::try_pop(BoundaryMessage& out) noexcept {
-  const std::uint64_t h = head_.load(std::memory_order_relaxed);
-  const std::uint64_t t = tail_.load(std::memory_order_acquire);
-  if (h == t) return false;
-  out = buf_[static_cast<std::size_t>(h) & mask_];
-  head_.store(h + 1, std::memory_order_release);
-  return true;
-}
-
-std::size_t BoundaryRing::visible() const noexcept {
-  return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                  head_.load(std::memory_order_relaxed));
-}
-
-void BoundaryChannel::push(const BoundaryMessage& m) {
-  ++pushed_;
-  if (ring_.try_push(m)) return;
-  // Overflow safety valve: the producer cannot wait for the consumer
-  // (drains only happen at window barriers, which this producer also
-  // has to reach), so a full ring falls back to a locked vector. Cold
-  // by construction — capacity is sized for a whole window's traffic —
-  // but correctness must not depend on that tuning.
-  std::lock_guard<std::mutex> lk(spill_mu_);
-  spill_.push_back(m);
-  ++spill_count_;
-}
-
-void BoundaryChannel::drain(std::vector<BoundaryMessage>& out) {
-  BoundaryMessage m;
-  while (ring_.try_pop(m)) out.push_back(m);
-  std::lock_guard<std::mutex> lk(spill_mu_);
-  out.insert(out.end(), spill_.begin(), spill_.end());
-  spill_.clear();
-}
-
 namespace detail {
 void boundary_push(ShardBoundary& b, util::Time pushed_at,
                    util::Time arrival, Link* link, const Packet& p) {
+  ShardExchange& x = *b.src;
   BoundaryMessage m;
   m.arrival = arrival;
   m.pushed_at = pushed_at;
-  m.seq = (*b.seq)++;
+  m.seq = x.seq++;
   m.src_shard = b.src_shard;
   m.link = link;
   m.pkt = p;
-  b.channel->push(m);
+  b.channel.push(x.parity, m);
 }
 }  // namespace detail
 
@@ -214,8 +165,7 @@ ShardPlan plan_shards(Network& net, int shards) {
   return plan;
 }
 
-ShardedRun::ShardedRun(Network& net, const ShardPlan& plan,
-                       std::size_t ring_capacity)
+ShardedRun::ShardedRun(Network& net, const ShardPlan& plan)
     : net_(net),
       plan_(plan),
       gang_(static_cast<std::size_t>(plan.shards)),
@@ -234,11 +184,7 @@ ShardedRun::ShardedRun(Network& net, const ShardPlan& plan,
     telemetry::ScopedRegistry scope(*regs_[s]);
     scheds_.push_back(std::make_unique<Scheduler>());
   }
-  seqs_.assign(s_count, 0);
-  inbound_.resize(s_count);
-  scratch_.resize(s_count);
-  inj_tick_.assign(s_count, 0);
-  inj_intra_.assign(s_count, 0);
+  xch_.resize(s_count);  // sized once: cut links keep pointers into it
 
   const auto& links = net_.links();
   for (std::size_t i = 0; i < links.size(); ++i) {
@@ -255,17 +201,12 @@ ShardedRun::ShardedRun(Network& net, const ShardPlan& plan,
     if (plan_.link_cut[i] == 0) continue;
     const auto dst_shard = static_cast<std::size_t>(
         plan_.node_shard[static_cast<std::size_t>(l.destination().id())]);
-    channels_.push_back(std::make_unique<BoundaryChannel>(
-        static_cast<int>(src_shard), static_cast<int>(dst_shard),
-        ring_capacity));
     auto b = std::make_unique<ShardBoundary>();
-    b->channel = channels_.back().get();
-    b->seq = &seqs_[src_shard];
+    b->src = &xch_[src_shard];
     b->src_shard = static_cast<std::uint32_t>(src_shard);
     boundaries_.push_back(std::move(b));
+    xch_[dst_shard].inbound.push_back(&boundaries_.back()->channel);
     l.set_boundary(boundaries_.back().get());
-    inbound_[dst_shard].push_back(channels_.size() - 1);
-    stash_.emplace_back();
   }
 }
 
@@ -298,52 +239,52 @@ void ShardedRun::adopt_monitor(LinkMonitor& m, const Link& link) {
   throw std::invalid_argument("monitor's link is not in this network");
 }
 
-void ShardedRun::drain_inbound(std::size_t shard, util::Time bound) {
-  auto& scratch = scratch_[shard];
-  scratch.clear();
-  for (const std::size_t ci : inbound_[shard]) {
-    auto& stash = stash_[ci];
-    channels_[ci]->drain(stash);
-    // Inject what is due by `bound`; keep the rest (compacted in place)
-    // for a later window. The visible set at drain time can race with
-    // the producer's tail, but every message due by `bound` was pushed
-    // before the producer's last barrier (the window protocol's
-    // invariant), so the *injected* set is deterministic.
-    std::size_t keep = 0;
-    for (const BoundaryMessage& m : stash) {
-      if (m.arrival <= bound) {
-        scratch.push_back(m);
-      } else {
-        stash[keep++] = m;
-      }
+void ShardedRun::drain_inbound(ShardExchange& x, Scheduler& sched,
+                               util::Time bound) {
+  // Inject what is due by `bound`; carry the rest to a later window.
+  // Every message due by `bound` was pushed before the barrier just
+  // passed (the window protocol's invariant), so the injected set is
+  // deterministic.
+  auto& due = x.due;
+  due.clear();
+  std::size_t keep = 0;
+  for (const BoundaryMessage& m : x.carry) {
+    if (m.arrival <= bound) {
+      due.push_back(m);
+    } else {
+      x.carry[keep++] = m;
     }
-    stash.resize(keep);
   }
-  if (scratch.empty()) return;
+  x.carry.resize(keep);
+  for (BoundaryChannel* ch : x.inbound) {
+    ch->drain(x.parity, [&](const BoundaryMessage& m) {
+      (m.arrival <= bound ? due : x.carry).push_back(m);
+    });
+  }
+  if (due.empty()) return;
   // Serial insertion chronology: a serial run inserts each delivery at
   // the producer's transmission start, so (arrival, pushed_at) is the
   // dispatch-order key; (src_shard, seq) breaks the sub-ordering-tick
   // ties the serial interleave cannot be reconstructed for.
-  std::sort(scratch.begin(), scratch.end(),
+  std::sort(due.begin(), due.end(),
             [](const BoundaryMessage& a, const BoundaryMessage& b) {
               return std::tie(a.arrival, a.pushed_at, a.src_shard, a.seq) <
                      std::tie(b.arrival, b.pushed_at, b.src_shard, b.seq);
             });
-  Scheduler& sched = *scheds_[shard];
   const util::Time now = sched.now();
-  for (const BoundaryMessage& m : scratch) {
+  for (const BoundaryMessage& m : due) {
     assert(m.arrival > now);
     // Re-home into this shard's pool and reuse the zero-allocation
     // delivery fast path; the Link pointer is only delivery context
     // (destination node), never transmitter state, on this shard.
     const std::uint64_t ot = Scheduler::order_tick(m.pushed_at);
-    if (ot != inj_tick_[shard]) {
-      inj_tick_[shard] = ot;
-      inj_intra_[shard] = 0;
+    if (ot != x.inj_tick) {
+      x.inj_tick = ot;
+      x.inj_intra = 0;
     }
     const PacketHandle h = sched.packet_pool().acquire(m.pkt);
     sched.schedule_injected_delivery(m.arrival - now, *m.link, h,
-                                     m.pushed_at, inj_intra_[shard]++);
+                                     m.pushed_at, x.inj_intra++);
   }
 }
 
@@ -361,6 +302,7 @@ void ShardedRun::run_until(util::Time horizon) {
   gang_.run([&](std::size_t shard) {
     telemetry::ScopedRegistry scope(*regs_[shard]);
     Scheduler& sched = *scheds_[shard];
+    ShardExchange& x = xch_[shard];
     util::Time t = start;
     for (std::uint64_t i = 0; i < windows; ++i) {
       const util::Time wend = std::min<util::Time>(t + w, horizon);
@@ -373,17 +315,19 @@ void ShardedRun::run_until(util::Time horizon) {
         }
       }
       barrier_.arrive_and_wait();
-      // Post-barrier, every producer has published window i's boundary
-      // traffic; inject everything due in window i+1 — which, by the
-      // lookahead bound, is everything that can arrive there.
+      // Post-barrier, every producer has finished window i and writes
+      // only the other parity's buffers until the next barrier; inject
+      // everything due in window i+1 — which, by the lookahead bound,
+      // is everything that can arrive there.
       if (!abort_.load(std::memory_order_relaxed)) {
         try {
-          drain_inbound(shard, wend + w);
+          drain_inbound(x, sched, wend + w);
         } catch (...) {
           excs[shard] = std::current_exception();
           abort_.store(true, std::memory_order_relaxed);
         }
       }
+      x.parity ^= 1u;
       t = wend;
     }
   });
@@ -397,8 +341,12 @@ void ShardedRun::merge_telemetry() {
   auto& reg = telemetry::registry();
   for (const auto& r : regs_) reg.merge(*r);
   reg.counter("sim.shard.boundary_msgs").add(boundary_messages());
-  reg.counter("sim.shard.boundary_spills").add(boundary_spills());
   reg.counter("sim.shard.windows").add(windows_run_);
+  for (int s = 0; s < plan_.shards; ++s) {
+    const telemetry::Labels shard{{"shard", std::to_string(s)}};
+    reg.counter("sim.shard.events", shard).add(executed_events(s));
+    reg.counter("sim.shard.boundary_in", shard).add(boundary_in(s));
+  }
 }
 
 std::uint64_t ShardedRun::executed_events() const {
@@ -407,15 +355,20 @@ std::uint64_t ShardedRun::executed_events() const {
   return total;
 }
 
+std::uint64_t ShardedRun::executed_events(int s) const {
+  return scheds_.at(static_cast<std::size_t>(s))->executed_count();
+}
+
 std::uint64_t ShardedRun::boundary_messages() const {
   std::uint64_t total = 0;
-  for (const auto& c : channels_) total += c->pushed();
+  for (const auto& b : boundaries_) total += b->channel.pushed();
   return total;
 }
 
-std::uint64_t ShardedRun::boundary_spills() const {
+std::uint64_t ShardedRun::boundary_in(int s) const {
   std::uint64_t total = 0;
-  for (const auto& c : channels_) total += c->spills();
+  for (const BoundaryChannel* c : xch_.at(static_cast<std::size_t>(s)).inbound)
+    total += c->pushed();
   return total;
 }
 

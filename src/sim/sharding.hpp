@@ -6,11 +6,14 @@
 // classic conservative-PDES bound: a packet entering a cut link in
 // window k cannot arrive before window k+1 ends).
 //
-// Cross-shard packets travel by value through fixed-capacity SPSC rings
-// (one per cut link), stamped with their absolute arrival time and a
-// per-source-shard sequence number. At each window barrier the consumer
-// drains its rings, keeps messages not yet due, sorts the due ones by
-// (arrival, src_shard, seq) — a total order independent of thread
+// Cross-shard packets travel by value through per-cut-link channels,
+// stamped with their absolute arrival time and a per-source-shard
+// sequence number. Each channel holds two append buffers indexed by
+// window parity: the producer fills one during a window while the
+// consumer drains the other, so the gang's window barrier is the only
+// synchronization. At each barrier the consumer takes the window's
+// messages, keeps those not yet due, sorts the due ones by (arrival,
+// pushed_at, src_shard, seq) — a total order independent of thread
 // timing — and re-homes each packet into its own pool via the
 // scheduler's zero-allocation delivery fast path. Same-seed runs
 // therefore reproduce the serial artifacts byte-identically at any
@@ -22,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <type_traits>
 #include <vector>
 
@@ -55,82 +57,80 @@ struct BoundaryMessage {
 static_assert(std::is_trivially_copyable_v<BoundaryMessage>,
               "boundary messages are relocated with plain copies");
 
-/// Fixed-capacity single-producer single-consumer ring with the same
-/// power-of-two geometry as util::RingDeque, plus acquire/release
-/// cursors so the producer (source shard) and consumer (destination
-/// shard) never share a lock on the fast path.
-class BoundaryRing {
- public:
-  explicit BoundaryRing(std::size_t capacity);
-
-  BoundaryRing(const BoundaryRing&) = delete;
-  BoundaryRing& operator=(const BoundaryRing&) = delete;
-
-  /// Producer side. False when the ring is full (caller spills).
-  bool try_push(const BoundaryMessage& m) noexcept;
-
-  /// Consumer side. False when the ring is empty.
-  bool try_pop(BoundaryMessage& out) noexcept;
-
-  std::size_t capacity() const noexcept { return buf_.size(); }
-  /// Consumer-side view of how many entries are currently visible.
-  std::size_t visible() const noexcept;
-
- private:
-  std::vector<BoundaryMessage> buf_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< consumer cursor
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< producer cursor
-};
-
-/// One cut link's channel: the SPSC ring plus a mutex-guarded spill for
-/// overflow. The producer must never block (the consumer only drains at
-/// window barriers — and on the last window of a run it may be the same
-/// thread), so a full ring degrades to the spill vector instead of
-/// backpressure. Deterministic merge order is restored by the
-/// consumer's (arrival, src_shard, seq) sort, so the ring/spill split
-/// is invisible to results.
+/// One cut link's channel: two append buffers indexed by window
+/// parity. During window i the producer (source shard) appends to
+/// buffer i & 1; after barrier i the consumer (destination shard)
+/// drains that buffer, and the producer writes it again only after
+/// barrier i + 1, which the consumer reaches only once its drain is
+/// done. The gang's CyclicBarrier therefore orders every access — no
+/// lock, no atomic — and each buffer's memory follows the busiest
+/// window's traffic on this link instead of a fixed capacity.
 class BoundaryChannel {
  public:
-  BoundaryChannel(int src_shard, int dst_shard, std::size_t capacity)
-      : ring_(capacity), src_(src_shard), dst_(dst_shard) {}
+  BoundaryChannel() = default;
+  BoundaryChannel(const BoundaryChannel&) = delete;
+  BoundaryChannel& operator=(const BoundaryChannel&) = delete;
 
-  /// Producer thread only.
-  void push(const BoundaryMessage& m);
+  /// Producer thread only, while running a window of parity `parity`.
+  void push(unsigned parity, const BoundaryMessage& m) {
+    buf_[parity].msgs.push_back(m);
+    ++pushed_;
+  }
 
-  /// Consumer thread only: append everything currently visible to
-  /// `out` (called at window barriers).
-  void drain(std::vector<BoundaryMessage>& out);
+  /// Consumer thread only, after the barrier that closes a window of
+  /// parity `parity`: visit that window's messages in push order, then
+  /// empty the buffer (keeping its capacity) for the window after next.
+  template <class Visit>
+  void drain(unsigned parity, Visit&& visit) {
+    std::vector<BoundaryMessage>& msgs = buf_[parity].msgs;
+    for (const BoundaryMessage& m : msgs) visit(m);
+    msgs.clear();
+  }
 
-  int src_shard() const noexcept { return src_; }
-  int dst_shard() const noexcept { return dst_; }
   std::uint64_t pushed() const noexcept { return pushed_; }
-  std::uint64_t spills() const noexcept { return spill_count_; }
 
  private:
-  BoundaryRing ring_;
+  /// Each buffer on its own cache line: the producer appends to one
+  /// while the consumer drains the other.
+  struct alignas(64) Buffer {
+    std::vector<BoundaryMessage> msgs;
+  };
+  Buffer buf_[2];
   std::uint64_t pushed_ = 0;  ///< producer-side; read after the run joins
-  std::mutex spill_mu_;
-  std::vector<BoundaryMessage> spill_;
-  std::uint64_t spill_count_ = 0;  ///< guarded by spill_mu_
-  int src_;
-  int dst_;
 };
 
-/// Producer-side view handed to a cut Link: where to push and how to
-/// stamp. `seq` points at the source shard's single counter so messages
-/// from all of a shard's cut links share one transmission order — the
-/// same order their delivery events would have been scheduled in
-/// serially, which is what makes the merge reproduce serial tie-breaks.
+/// One shard's side of the boundary exchange. Only that shard's thread
+/// touches it while a run is in progress — the producer fields from
+/// its cut links' pushes, the consumer fields from its drains — and the
+/// alignment keeps neighbouring shards off each other's cache lines.
+struct alignas(64) ShardExchange {
+  /// Boundary counter shared by all of this shard's cut links, so their
+  /// messages carry one transmission order — the order their delivery
+  /// events would have been scheduled in serially, which is what makes
+  /// the merge reproduce serial tie-breaks.
+  std::uint64_t seq = 0;
+  unsigned parity = 0;  ///< parity of the window this shard is running
+  /// Injection ordering-tick state: intra counter for messages sharing
+  /// an ordering tick, continued across drains.
+  std::uint32_t inj_intra = 0;
+  std::uint64_t inj_tick = 0;
+  std::vector<BoundaryChannel*> inbound;  ///< channels into this shard
+  std::vector<BoundaryMessage> carry;     ///< drained, due in a later window
+  std::vector<BoundaryMessage> due;       ///< one drain's injections (reused)
+};
+
+/// One cut link's side of the exchange: its channel, plus whose
+/// sequence counter and window parity the producer stamps with. Owned
+/// by ShardedRun; the cut Link holds a pointer.
 struct ShardBoundary {
-  BoundaryChannel* channel = nullptr;
-  std::uint64_t* seq = nullptr;
+  BoundaryChannel channel;
+  ShardExchange* src = nullptr;  ///< the source shard's exchange state
   std::uint32_t src_shard = 0;
 };
 
 namespace detail {
 /// Called by Link::start_transmission for cut links (out-of-line so
-/// link.cpp needs no knowledge of ring internals).
+/// link.cpp needs no knowledge of channel internals).
 void boundary_push(ShardBoundary& b, util::Time pushed_at,
                    util::Time arrival, Link* link, const Packet& p);
 }  // namespace detail
@@ -166,10 +166,7 @@ ShardPlan plan_shards(Network& net, int shards);
 /// so the topology outlives the sharded run safely.
 class ShardedRun {
  public:
-  static constexpr std::size_t kDefaultRingCapacity = 4096;
-
-  ShardedRun(Network& net, const ShardPlan& plan,
-             std::size_t ring_capacity = kDefaultRingCapacity);
+  ShardedRun(Network& net, const ShardPlan& plan);
   ~ShardedRun();
 
   ShardedRun(const ShardedRun&) = delete;
@@ -202,35 +199,31 @@ class ShardedRun {
   void run_until(util::Time horizon);
 
   /// Fold the per-shard registries, in shard order, into the calling
-  /// thread's current registry, plus boundary-traffic counters. Call
-  /// once, after the final run_until.
+  /// thread's current registry, plus boundary-traffic counters (totals
+  /// and, labelled `shard`, each shard's events and inbound messages).
+  /// Call once, after the final run_until.
   void merge_telemetry();
 
   /// Aggregate events executed across shards (equals the serial run's
   /// count: every delivery/tx-complete/timer fires exactly once,
   /// whichever shard it lands on).
   std::uint64_t executed_events() const;
+  /// Events executed by shard `s`'s scheduler.
+  std::uint64_t executed_events(int s) const;
   std::uint64_t boundary_messages() const;
-  std::uint64_t boundary_spills() const;
+  /// Messages pushed toward shard `s` across its inbound cut links.
+  std::uint64_t boundary_in(int s) const;
   std::uint64_t windows_run() const noexcept { return windows_run_; }
 
  private:
-  void drain_inbound(std::size_t shard, util::Time bound);
+  void drain_inbound(ShardExchange& x, Scheduler& sched, util::Time bound);
 
   Network& net_;
   ShardPlan plan_;
   std::vector<std::unique_ptr<telemetry::MetricRegistry>> regs_;
   std::vector<std::unique_ptr<Scheduler>> scheds_;
-  std::vector<std::uint64_t> seqs_;  ///< per-shard boundary counters
-  std::vector<std::unique_ptr<BoundaryChannel>> channels_;
-  std::vector<std::unique_ptr<ShardBoundary>> boundaries_;
-  std::vector<std::vector<std::size_t>> inbound_;  ///< shard -> channel idx
-  std::vector<std::vector<BoundaryMessage>> stash_;    ///< per channel
-  std::vector<std::vector<BoundaryMessage>> scratch_;  ///< per shard
-  /// Injection ordering-tick state per shard: intra counter for
-  /// messages sharing an ordering tick, continued across drains.
-  std::vector<std::uint64_t> inj_tick_;
-  std::vector<std::uint32_t> inj_intra_;
+  std::vector<ShardExchange> xch_;  ///< per shard; cut links point in
+  std::vector<std::unique_ptr<ShardBoundary>> boundaries_;  ///< per cut link
   std::vector<LinkMonitor*> monitors_;
   exec::Gang gang_;
   exec::CyclicBarrier barrier_;

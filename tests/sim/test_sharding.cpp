@@ -1,9 +1,9 @@
-// Deterministic intra-run sharding: SPSC boundary-ring mechanics (wrap,
-// full-ring spill backpressure, FIFO ordering), the auto-partitioner's
-// cut selection and serial fallbacks, the scenario engine's sharded-mode
-// gating, and the headline determinism contract — multi-seed random
-// churn must produce byte-identical ScenarioMetrics at shard counts
-// 1, 2 and 4 on both dumbbell and parking-lot topologies.
+// Deterministic intra-run sharding: per-window boundary-channel
+// mechanics (parity separation, FIFO order, reuse), the
+// auto-partitioner's cut selection and serial fallbacks, the scenario
+// engine's sharded-mode gating, and the headline determinism contract —
+// multi-seed random churn must produce byte-identical ScenarioMetrics at
+// shard counts 1, 2 and 4 on both dumbbell and parking-lot topologies.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -31,75 +31,37 @@ BoundaryMessage msg(util::Time arrival, std::uint64_t seq) {
   return m;
 }
 
-TEST(BoundaryRing, PopsInPushOrderAcrossWraps) {
-  BoundaryRing ring(4);
-  ASSERT_EQ(ring.capacity(), 4u);
-  // Push/pop far more entries than the capacity so the cursors wrap the
-  // power-of-two buffer (and, eventually, exercise index masking well
-  // past one lap).
-  std::uint64_t next_push = 0, next_pop = 0;
-  for (int round = 0; round < 64; ++round) {
-    const int burst = 1 + (round % 4);
-    for (int i = 0; i < burst; ++i) {
-      ASSERT_TRUE(ring.try_push(msg(util::Time(next_push), next_push)))
-          << "push " << next_push;
-      ++next_push;
-    }
-    BoundaryMessage out;
-    for (int i = 0; i < burst; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out.seq, next_pop) << "FIFO order violated";
-      ++next_pop;
-    }
+TEST(BoundaryChannel, EachParityDrainsItsOwnPushesInOrder) {
+  // Interleaved pushes to both window parities: each drain must return
+  // exactly its own parity's messages, in push order, none lost or
+  // duplicated, and leave that buffer empty.
+  BoundaryChannel ch;
+  for (std::uint64_t i = 0; i < 20; ++i)
+    ch.push(static_cast<unsigned>(i & 1), msg(util::Time(i), i));
+  EXPECT_EQ(ch.pushed(), 20u);
+
+  for (const unsigned parity : {0u, 1u}) {
+    std::vector<std::uint64_t> seqs;
+    ch.drain(parity,
+             [&](const BoundaryMessage& m) { seqs.push_back(m.seq); });
+    ASSERT_EQ(seqs.size(), 10u) << "parity " << parity;
+    for (std::size_t k = 0; k < seqs.size(); ++k)
+      EXPECT_EQ(seqs[k], 2 * k + parity) << "parity " << parity;
+    std::size_t again = 0;
+    ch.drain(parity, [&](const BoundaryMessage&) { ++again; });
+    EXPECT_EQ(again, 0u) << "parity " << parity << " not emptied";
   }
-  BoundaryMessage out;
-  EXPECT_FALSE(ring.try_pop(out)) << "ring should be empty";
-}
 
-TEST(BoundaryRing, RejectsPushWhenFull) {
-  BoundaryRing ring(4);
-  for (std::uint64_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(ring.try_push(msg(0, i)));
-  EXPECT_EQ(ring.visible(), 4u);
-  EXPECT_FALSE(ring.try_push(msg(0, 99)));
-  BoundaryMessage out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out.seq, 0u);
-  // One slot freed: exactly one more push fits.
-  EXPECT_TRUE(ring.try_push(msg(0, 4)));
-  EXPECT_FALSE(ring.try_push(msg(0, 5)));
-}
-
-TEST(BoundaryChannel, OverflowSpillsWithoutLosingOrder) {
-  // Capacity 4: pushes 5..9 overflow into the spill vector. The drain
-  // must return every message (ring first, then spill — the consumer
-  // re-sorts by (arrival, src_shard, seq) anyway, so the split is
-  // invisible to results, but nothing may be lost or duplicated).
-  BoundaryChannel ch(/*src_shard=*/0, /*dst_shard=*/1, /*capacity=*/4);
-  for (std::uint64_t i = 0; i < 10; ++i) ch.push(msg(util::Time(i), i));
-  EXPECT_EQ(ch.pushed(), 10u);
-  EXPECT_EQ(ch.spills(), 6u);
-
-  std::vector<BoundaryMessage> out;
-  ch.drain(out);
-  ASSERT_EQ(out.size(), 10u);
-  std::vector<bool> seen(10, false);
-  for (const auto& m : out) {
-    ASSERT_LT(m.seq, 10u);
-    EXPECT_FALSE(seen[static_cast<std::size_t>(m.seq)]) << "duplicate";
-    seen[static_cast<std::size_t>(m.seq)] = true;
-  }
-  // Ring entries drain in FIFO order before the spill.
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].seq, i);
-
-  // Drained channel keeps working (and an empty drain appends nothing).
-  out.clear();
-  ch.drain(out);
-  EXPECT_TRUE(out.empty());
-  ch.push(msg(7, 42));
-  ch.drain(out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].seq, 42u);
+  // A drained buffer is reused by a later window of the same parity,
+  // and the other parity stays empty.
+  ch.push(0, msg(7, 42));
+  std::vector<std::uint64_t> seqs;
+  ch.drain(1, [&](const BoundaryMessage& m) { seqs.push_back(m.seq); });
+  EXPECT_TRUE(seqs.empty());
+  ch.drain(0, [&](const BoundaryMessage& m) { seqs.push_back(m.seq); });
+  ASSERT_EQ(seqs.size(), 1u);
+  EXPECT_EQ(seqs[0], 42u);
+  EXPECT_EQ(ch.pushed(), 21u);
 }
 
 TEST(ShardPlanner, DumbbellTwoWayCutIsTheBottleneck) {
@@ -296,14 +258,28 @@ TEST(ShardedScenario, EcnRedDumbbellStaysDeterministic) {
   expect_identical(serial, sharded, 2);
 }
 
-TEST(ShardedScenario, TinyRingCapacityStillDeterministic) {
-  // Force heavy spill traffic: correctness must not depend on the ring
-  // being big enough for a window's worth of packets.
-  const core::ScenarioMetrics serial =
-      run_cubic_scenario(churn_spec(5, 1), tcp::CubicParams{});
+TEST(ShardedScenario, BoundaryBuffersGrowMidRunAndStayDeterministic) {
+  // Every sender opens with an off period, so the first windows carry no
+  // boundary traffic and the per-window buffers start empty; they grow
+  // only once flows start and ramp through slow start, so later windows
+  // carry more than any earlier one. The quiet start is checked, not
+  // assumed: a 4-shard run cut off after it crosses nothing.
   core::ScenarioSpec spec = churn_spec(5, 4);
-  spec.sharding.ring_capacity = 2;
+  spec.workload.mean_off_s = 2.0;
+  spec.workload.mean_on_bytes = 1e6;
+  spec.warmup = 0;
+  spec.duration = util::milliseconds(100);
+  const core::ScenarioMetrics quiet =
+      run_cubic_scenario(spec, tcp::CubicParams{});
+  ASSERT_EQ(quiet.shards_used, 4);
+  ASSERT_EQ(quiet.boundary_messages, 0u);
+
+  spec.duration = util::seconds(10);
   const core::ScenarioMetrics sharded =
+      run_cubic_scenario(spec, tcp::CubicParams{});
+  EXPECT_GT(sharded.boundary_messages, 0u);
+  spec.sharding.shards = 1;
+  const core::ScenarioMetrics serial =
       run_cubic_scenario(spec, tcp::CubicParams{});
   expect_identical(serial, sharded, 4);
 }

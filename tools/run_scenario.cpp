@@ -16,9 +16,11 @@
 // seconds (default 0.1) into a tidy CSV, and --profile prints the event
 // loop's per-event-kind time breakdown. With none of them, the run (and
 // every artifact) is byte-identical to a build without telemetry.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -54,6 +56,17 @@ int list_presets() {
       "  wan graph: sites hosts_per_site chords wan_seed min_rate_mbps "
       "max_rate_mbps min_delay_ms max_delay_ms buffer_bdp\n");
   return 0;
+}
+
+/// Parses the whole of `s` as a decimal int >= 1. Trailing characters
+/// ("4x"), exponents ("1e3"), signs and out-of-range values all fail.
+bool parse_count(const char* s, int& out) {
+  const char* end = s + std::strlen(s);
+  int v = 0;
+  const auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || p != end || v < 1) return false;
+  out = v;
+  return true;
 }
 
 std::vector<std::string> metrics_row(const std::string& label,
@@ -100,26 +113,24 @@ int main(int argc, char** argv) {
   int runs = bench::scale_from_env() == bench::Scale::kFull ? 4 : 2;
   for (int a = 2; a < argc; ++a) {
     if (std::strcmp(argv[a], "--runs") == 0 && a + 1 < argc) {
-      runs = std::atoi(argv[++a]);
-      if (runs < 1) {
-        std::fprintf(stderr, "--runs wants an integer >= 1\n");
+      if (!parse_count(argv[++a], runs)) {
+        std::fprintf(stderr, "--runs wants an integer >= 1, got '%s'\n",
+                     argv[a]);
         return 2;
       }
       continue;
     }
     if (std::strcmp(argv[a], "--shards") == 0 && a + 1 < argc) {
-      const int n = std::atoi(argv[++a]);
-      if (n < 1) {
-        std::fprintf(stderr, "--shards wants an integer >= 1\n");
+      if (!parse_count(argv[++a], spec.sharding.shards)) {
+        std::fprintf(stderr, "--shards wants an integer >= 1, got '%s'\n",
+                     argv[a]);
         return 2;
       }
-      spec.sharding.shards = n;
       continue;
     }
     if (std::strncmp(argv[a], "--trace-flows", 13) == 0) {
       int one_in = 1;
-      if (argv[a][13] == '=') one_in = std::atoi(argv[a] + 14);
-      if (one_in < 1) {
+      if (argv[a][13] == '=' && !parse_count(argv[a] + 14, one_in)) {
         std::fprintf(stderr, "--trace-flows wants an integer >= 1\n");
         return 2;
       }
@@ -197,14 +208,34 @@ int main(int argc, char** argv) {
     t.row(metrics_row(std::to_string(r), all[r]));
   t.row(metrics_row("mean", mean));
   t.print_and_dump();
-  if (!all.empty() && all.front().shards_used > 1) {
+  if (!all.empty() && spec.sharding.shards > 1) {
     // stdout only; the CSV artifacts carry no shard-dependent columns,
     // so they stay byte-identical across --shards values (CI enforces).
-    std::printf("  [sharding] %d shards, %llu boundary packet(s)/rep, "
-                "%llu event(s)/rep\n",
-                all.front().shards_used,
-                static_cast<unsigned long long>(all.front().boundary_messages),
-                static_cast<unsigned long long>(all.front().events_executed));
+    // The plan depends on the topology alone, so rep 0 speaks for all.
+    const core::ScenarioMetrics& m = all.front();
+    if (m.shards_used == 1) {
+      std::printf("  [sharding] ran serially: no cut with nonzero lookahead "
+                  "splits this topology into %d shards\n",
+                  spec.sharding.shards);
+    } else {
+      if (m.shards_used < spec.sharding.shards)
+        std::printf("  [sharding] clamped to %d of %d requested shards: "
+                    "the topology's delay tiers allow no more\n",
+                    m.shards_used, spec.sharding.shards);
+      std::string in_split, ev_split;
+      for (const core::ShardLoad& l : m.per_shard) {
+        const std::string sep = in_split.empty() ? "" : "/";
+        in_split += sep + std::to_string(l.boundary_in);
+        ev_split += sep + std::to_string(l.events);
+      }
+      std::printf("  [sharding] %d shards, %llu boundary packet(s)/rep "
+                  "(in per shard: %s), %llu event(s)/rep (per shard: %s)\n",
+                  m.shards_used,
+                  static_cast<unsigned long long>(m.boundary_messages),
+                  in_split.c_str(),
+                  static_cast<unsigned long long>(m.events_executed),
+                  ev_split.c_str());
+    }
   }
 
   // Per-group breakdown when the population defines reporting groups.
