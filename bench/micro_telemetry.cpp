@@ -9,8 +9,8 @@
 // the ON-mode primitives: a cached-handle counter add is an integer
 // increment, a histogram observe is ~a dozen ns (bucket search + three P²
 // updates), registry lookups are string-keyed map walks meant for
-// construction time only, and a category-masked-out trace instant costs
-// one predictable branch.
+// construction time only, and an instant the installed log masks out
+// costs the mask test plus the flight recorder's ring copy.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -102,26 +102,20 @@ void BM_RegistryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryLookup);
 
+// An instant with a log installed that keeps its category: one copy into
+// the log's reserved buffer plus one into the flight recorder's ring.
 void BM_TraceInstantEnabled(benchmark::State& state) {
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::TraceSink sink(telemetry::kAllCategories,
-                            /*max_events=*/1 << 20);
-  telemetry::set_tracer(&sink);
-#endif
+  telemetry::EventLog log(telemetry::kAllCategories, /*trace_one_in=*/0,
+                          /*seed=*/0, /*capacity=*/1 << 20);
+  telemetry::set_event_log(&log);
   util::Time ts = 0;
   for (auto _ : state) {
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kBench)) {
-      t->instant(telemetry::Category::kBench, "bench.tick", ts += 100,
-                 {telemetry::targ("i", 1.0)});
-    }
-#ifndef PHI_TELEMETRY_OFF
-    if (sink.events().size() >= (1u << 20) - 1) sink.clear();
-#endif
+    telemetry::emit({.name = "bench.tick",
+                     .cat = telemetry::Category::kBench, .t0 = ts += 100,
+                     .k0 = "i", .a0 = 1.0});
+    if (log.events().size() >= (1u << 20) - 1) log.clear();
   }
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::set_tracer(nullptr);
-#endif
+  telemetry::set_event_log(nullptr);
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(kMode);
 }
@@ -129,19 +123,20 @@ BENCHMARK(BM_TraceInstantEnabled);
 
 // Causal-span overhead on the end-to-end packet path: the same TCP
 // transfer as micro_components' BM_EndToEndPacketTransit, run three
-// ways. spans=off has no SpanLog installed (every per-packet tracing
-// site is `p.trace != 0` on an untraced packet after one nullptr-guarded
-// lookup at connection start). spans=1in64 installs a log at the default
-// sampling rate but uses a flow the sampler skips — the realistic
-// steady-state cost for 63 of every 64 flows, required to stay within 2%
-// of off. spans=all traces every packet: the worst-case recording cost,
-// priced honestly by clearing the log between iterations so capacity
-// never turns recording into a cheap drop-counter bump.
+// ways. spans=off has no EventLog installed (every per-packet tracing
+// site is `p.trace != 0` on an untraced packet, after one lookup of the
+// installed log at sender construction). spans=1in64 installs a log at
+// the default sampling rate but uses a flow the sampler skips — the
+// realistic steady-state cost for 63 of every 64 flows, required to stay
+// within 2% of off. spans=all traces every packet: the worst-case
+// recording cost, priced honestly by clearing the log between
+// iterations so capacity never turns recording into a cheap
+// drop-counter bump.
 void BM_EndToEndPacketTransitSpans(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));  // 0 off, 1 1-in-64, 2 all
-  telemetry::SpanLog log(mode == 2 ? 1u : 64u, /*seed=*/0,
-                         /*capacity=*/1 << 18);
-  if (mode != 0) telemetry::set_spans(&log);
+  telemetry::EventLog log(/*mask=*/0, mode == 2 ? 1u : 64u, /*seed=*/0,
+                          /*capacity=*/1 << 18);
+  if (mode != 0) telemetry::set_event_log(&log);
   std::uint64_t flow = 1;
   if (mode == 1) {
     while (log.trace_of(flow) != 0) ++flow;  // a typical unsampled flow
@@ -174,7 +169,7 @@ void BM_EndToEndPacketTransitSpans(benchmark::State& state) {
     while (!done) net.run_until(net.now() + util::seconds(1));
     packets += stats.packets_sent;
   }
-  telemetry::set_spans(nullptr);
+  telemetry::set_event_log(nullptr);
   packets += sink.acks_sent();
   state.SetItemsProcessed(static_cast<std::int64_t>(packets));
   state.SetLabel(std::string(kMode) + (mode == 0   ? " spans=off"
@@ -187,23 +182,20 @@ BENCHMARK(BM_EndToEndPacketTransitSpans)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// A category the mask filters out: the guard is one load + branch.
+// An instant of a category the installed log's mask filters out: the
+// log's mask test plus the flight recorder's ring copy, which every
+// instant pays whether or not a log is installed.
 void BM_TraceInstantMaskedOut(benchmark::State& state) {
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::TraceSink sink(telemetry::mask_of(telemetry::Category::kTcp));
-  telemetry::set_tracer(&sink);
-#endif
+  telemetry::EventLog log(telemetry::mask_of(telemetry::Category::kTcp),
+                          /*trace_one_in=*/0, /*seed=*/0, /*capacity=*/16);
+  telemetry::set_event_log(&log);
   util::Time ts = 0;
   for (auto _ : state) {
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kBench)) {
-      t->instant(telemetry::Category::kBench, "bench.tick", ts += 100);
-    }
+    telemetry::emit({.name = "bench.tick",
+                     .cat = telemetry::Category::kBench, .t0 = ts += 100});
     benchmark::DoNotOptimize(ts);
   }
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::set_tracer(nullptr);
-#endif
+  telemetry::set_event_log(nullptr);
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(kMode);
 }

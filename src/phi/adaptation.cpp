@@ -30,11 +30,12 @@ void DupAckThresholdAdvisor::record_connection(PathKey path,
   Counts& c = counts_[path];
   ++c.total;
   if (saw_spurious) ++c.reordered;
-  if (at >= 0 && trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(trace, "adapt.dupack_record", at, "spurious",
-                saw_spurious ? 1.0 : 0.0, "prevalence", prevalence(path));
-    }
+  if (at >= 0) {
+    telemetry::emit({.name = "adapt.dupack_record",
+                     .cat = telemetry::Category::kContext, .t0 = at,
+                     .trace = trace, .k0 = "spurious",
+                     .a0 = saw_spurious ? 1.0 : 0.0, .k1 = "prevalence",
+                     .a1 = prevalence(path)});
   }
 }
 
@@ -56,12 +57,12 @@ int DupAckThresholdAdvisor::recommend(PathKey path, util::Time at,
     else if (p >= cfg_.raise_at)
       k = cfg_.base_threshold + 1;
   }
-  if (at >= 0 && trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(trace, "adapt.dupack_recommend", at, "threshold",
-                static_cast<double>(k), "support",
-                static_cast<double>(support(path)));
-    }
+  if (at >= 0) {
+    telemetry::emit({.name = "adapt.dupack_recommend",
+                     .cat = telemetry::Category::kContext, .t0 = at,
+                     .trace = trace, .k0 = "threshold",
+                     .a0 = static_cast<double>(k), .k1 = "support",
+                     .a1 = static_cast<double>(support(path))});
   }
   return k;
 }

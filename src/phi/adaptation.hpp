@@ -68,9 +68,10 @@ class DupAckThresholdAdvisor {
   /// Record one connection's experience: did it observe spurious
   /// retransmissions (duplicate segments delivered — the receiver-side
   /// signature of reordering-induced false fast retransmits)?
-  /// The trailing parameters are causal-tracing metadata: when `at >= 0`
-  /// and the connection's flow is traced (`trace != 0`), the advisor
-  /// emits a span point so a trace shows shared experience flowing in.
+  /// The trailing parameters are telemetry metadata: when `at >= 0` the
+  /// advisor emits an instant, which lands on the connection's flow
+  /// trace when `trace != 0`, so a trace shows shared experience
+  /// flowing in.
   void record_connection(PathKey path, bool saw_spurious_retransmit,
                          util::Time at = -1, std::uint32_t trace = 0);
 
@@ -78,8 +79,8 @@ class DupAckThresholdAdvisor {
   double prevalence(PathKey path) const;
 
   /// Recommended dup-ACK threshold for new connections on `path`. Same
-  /// optional tracing metadata as record_connection: a traced call emits
-  /// a span point carrying the threshold actually recommended.
+  /// optional telemetry metadata as record_connection: the instant
+  /// carries the threshold actually recommended.
   int recommend(PathKey path, util::Time at = -1,
                 std::uint32_t trace = 0) const;
 

@@ -39,13 +39,19 @@ class PhiCubicAdvisor : public tcp::ConnectionAdvisor {
     // parameters, closing the server's recommendation arrow. The very
     // next span on this track is tcp.conn_start with the adopted cwnd.
     if (req.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        const util::Time now = clock_();
-        sl->span(req.trace, "phi.adopt", now, now + 1000, "recommended",
-                 reply.has_recommendation ? 1.0 : 0.0, "window_init",
-                 static_cast<double>(params.window_init));
-        if (reply.span_bind != 0)
-          sl->flow_in(req.trace, "phi.adopt", now, reply.span_bind);
+      using telemetry::Category;
+      const util::Time now = clock_();
+      telemetry::emit({.name = "phi.adopt", .cat = Category::kContext,
+                       .phase = 'X', .t0 = now, .t1 = now + 1000,
+                       .trace = req.trace, .flow = sender.flow(),
+                       .k0 = "recommended",
+                       .a0 = reply.has_recommendation ? 1.0 : 0.0,
+                       .k1 = "window_init",
+                       .a1 = static_cast<double>(params.window_init)});
+      if (reply.span_bind != 0) {
+        telemetry::emit({.name = "phi.adopt", .cat = Category::kContext,
+                         .phase = 'f', .t0 = now, .trace = req.trace,
+                         .bind = reply.span_bind, .flow = sender.flow()});
       }
     }
   }
@@ -66,13 +72,16 @@ class PhiCubicAdvisor : public tcp::ConnectionAdvisor {
     // First hop of the causal chain: the experience report leaves the
     // client, arrow open for the server's aggregation span to close.
     if (r.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        sl->span(r.trace, "phi.report", s.end, s.end + 1000, "bytes",
-                 static_cast<double>(r.bytes), "retx_rate",
-                 r.retransmit_rate);
-        r.bind = sl->next_bind();
-        sl->flow_out(r.trace, "phi.report", s.end, r.bind);
-      }
+      using telemetry::Category;
+      telemetry::emit({.name = "phi.report", .cat = Category::kContext,
+                       .phase = 'X', .t0 = s.end, .t1 = s.end + 1000,
+                       .trace = r.trace, .flow = sender.flow(),
+                       .k0 = "bytes", .a0 = static_cast<double>(r.bytes),
+                       .k1 = "retx_rate", .a1 = r.retransmit_rate});
+      r.bind = telemetry::next_bind();
+      telemetry::emit({.name = "phi.report", .cat = Category::kContext,
+                       .phase = 's', .t0 = s.end, .trace = r.trace,
+                       .bind = r.bind, .flow = sender.flow()});
     }
     server_.report(r);
   }

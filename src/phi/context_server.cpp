@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace phi::core {
 
@@ -91,13 +92,11 @@ std::size_t ContextServer::sweep_leases(PathState& st,
     st.senders.force(static_cast<double>(st.active.size()));
     expired_leases_ += expired;
     ctr_lease_expiries_->add(expired);
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kContext)) {
-      t->instant(telemetry::Category::kContext, "ctx.lease_expiry", now,
-                 {telemetry::targ("expired", static_cast<double>(expired)),
-                  telemetry::targ("surviving",
-                                  static_cast<double>(st.active.size()))});
-    }
+    telemetry::emit({.name = "ctx.lease_expiry",
+                     .cat = telemetry::Category::kContext, .t0 = now,
+                     .k0 = "expired", .a0 = static_cast<double>(expired),
+                     .k1 = "surviving",
+                     .a1 = static_cast<double>(st.active.size())});
   }
   return expired;
 }
@@ -150,13 +149,10 @@ LookupReply ContextServer::lookup(const LookupRequest& req) {
   grant_lease(st, req.sender_id, now);
   ctr_lease_grants_->add();
   st.senders.add(static_cast<double>(st.active.size()));
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kContext)) {
-    t->instant(telemetry::Category::kContext, "ctx.lookup", now,
-               {telemetry::targ("path", static_cast<double>(req.path)),
-                telemetry::targ("active",
-                                static_cast<double>(st.active.size()))});
-  }
+  telemetry::emit({.name = "ctx.lookup", .cat = telemetry::Category::kContext,
+                   .t0 = now, .k0 = "path",
+                   .a0 = static_cast<double>(req.path), .k1 = "active",
+                   .a1 = static_cast<double>(st.active.size())});
 
   LookupReply reply;
   reply.context = context(req.path);
@@ -173,17 +169,22 @@ LookupReply ContextServer::lookup(const LookupRequest& req) {
   // this recommendation; the outbound arrow is closed by the client's
   // adoption span (reply.span_bind).
   if (req.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(req.trace, "ctx.recommend", now, now + 1000, "version",
-               static_cast<double>(version_), "recommended",
-               reply.has_recommendation ? 1.0 : 0.0);
-      if (last_report_bind_ != 0) {
-        sl->flow_in(req.trace, "ctx.recommend", now, last_report_bind_);
-        last_report_bind_ = 0;
-      }
-      reply.span_bind = sl->next_bind();
-      sl->flow_out(req.trace, "ctx.recommend", now, reply.span_bind);
+    using telemetry::Category;
+    telemetry::emit({.name = "ctx.recommend", .cat = Category::kContext,
+                     .phase = 'X', .t0 = now, .t1 = now + 1000,
+                     .trace = req.trace, .k0 = "version",
+                     .a0 = static_cast<double>(version_),
+                     .k1 = "recommended",
+                     .a1 = reply.has_recommendation ? 1.0 : 0.0});
+    if (last_report_bind_ != 0) {
+      telemetry::emit({.name = "ctx.recommend", .cat = Category::kContext,
+                       .phase = 'f', .t0 = now, .trace = req.trace,
+                       .bind = std::exchange(last_report_bind_, 0)});
     }
+    reply.span_bind = telemetry::next_bind();
+    telemetry::emit({.name = "ctx.recommend", .cat = Category::kContext,
+                     .phase = 's', .t0 = now, .trace = req.trace,
+                     .bind = reply.span_bind});
   }
   return reply;
 }
@@ -194,12 +195,10 @@ void ContextServer::report(const Report& r) {
     // window and estimates; absorbing it again would double-count.
     ++duplicate_reports_;
     ctr_dup_reports_->add();
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kContext)) {
-      t->instant(telemetry::Category::kContext, "ctx.duplicate_report",
-                 now_or(r.ended),
-                 {telemetry::targ("path", static_cast<double>(r.path))});
-    }
+    telemetry::emit({.name = "ctx.duplicate_report",
+                     .cat = telemetry::Category::kContext,
+                     .t0 = now_or(r.ended), .k0 = "path",
+                     .a0 = static_cast<double>(r.path)});
     return;
   }
   ++reports_;
@@ -210,22 +209,29 @@ void ContextServer::report(const Report& r) {
   const util::Time now = now_or(r.ended);
   g_version_->set(static_cast<double>(version_));
   ts_version_->sample(util::to_seconds(now), static_cast<double>(version_));
-  telemetry::flight().note(telemetry::Category::kContext, "ctx.report", now,
-                           static_cast<double>(r.path),
-                           static_cast<double>(version_));
+  telemetry::emit({.name = "ctx.report", .cat = telemetry::Category::kContext,
+                   .t0 = now, .k0 = "path", .a0 = static_cast<double>(r.path),
+                   .k1 = "version", .a1 = static_cast<double>(version_)});
   // Causal chain, first server hop: the aggregation span sits on the
   // reporting flow's track, closes the client's "phi.report" arrow
   // (r.bind) and opens a fresh arrow for the next traced lookup to
   // consume — report -> aggregate -> recommend -> adopt.
   if (r.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(r.trace, "ctx.aggregate", now, now + 1000, "bytes",
-               static_cast<double>(r.bytes), "version",
-               static_cast<double>(version_));
-      if (r.bind != 0) sl->flow_in(r.trace, "ctx.aggregate", now, r.bind);
-      last_report_bind_ = sl->next_bind();
-      sl->flow_out(r.trace, "ctx.aggregate", now, last_report_bind_);
+    using telemetry::Category;
+    telemetry::emit({.name = "ctx.aggregate", .cat = Category::kContext,
+                     .phase = 'X', .t0 = now, .t1 = now + 1000,
+                     .trace = r.trace, .k0 = "bytes",
+                     .a0 = static_cast<double>(r.bytes), .k1 = "version",
+                     .a1 = static_cast<double>(version_)});
+    if (r.bind != 0) {
+      telemetry::emit({.name = "ctx.aggregate", .cat = Category::kContext,
+                       .phase = 'f', .t0 = now, .trace = r.trace,
+                       .bind = r.bind});
     }
+    last_report_bind_ = telemetry::next_bind();
+    telemetry::emit({.name = "ctx.aggregate", .cat = Category::kContext,
+                     .phase = 's', .t0 = now, .trace = r.trace,
+                     .bind = last_report_bind_});
   }
   sweep_leases(st, now);
   if (r.kind == Report::Kind::kFinal) {
@@ -374,14 +380,11 @@ bool ContextServer::restore_state(const std::string& text) {
   last_message_at_ = last_at;
   version_ = version;
   ctr_snapshot_restores_->add();
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kContext)) {
-    t->instant(telemetry::Category::kContext, "ctx.snapshot_restore",
-               last_message_at_,
-               {telemetry::targ("paths", static_cast<double>(paths_.size())),
-                telemetry::targ("version",
-                                static_cast<double>(version_))});
-  }
+  telemetry::emit({.name = "ctx.snapshot_restore",
+                   .cat = telemetry::Category::kContext,
+                   .t0 = last_message_at_, .k0 = "paths",
+                   .a0 = static_cast<double>(paths_.size()), .k1 = "version",
+                   .a1 = static_cast<double>(version_)});
   return true;
 }
 

@@ -200,7 +200,7 @@ class ContextServer : public ContextSource, public ContextService {
   /// span, consumed (one-shot, Chrome flow events pair 1:1) by the next
   /// traced lookup — the trace then shows which report informed the
   /// recommendation the lookup returned.
-  std::uint64_t last_report_bind_ = 0;
+  std::uint32_t last_report_bind_ = 0;
   std::uint64_t table_installs_ = 0;
 
   // Registry handles (aggregated across servers), resolved at

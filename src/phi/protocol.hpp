@@ -51,7 +51,7 @@ struct LookupReply {
   /// Causal-tracing flow-arrow id emitted by the server's recommendation
   /// span (0 = none). The client's adoption span closes the arrow, tying
   /// "parameters installed" back to "recommendation computed" in a trace.
-  std::uint64_t span_bind = 0;
+  std::uint32_t span_bind = 0;
 };
 
 /// Sender -> server, at connection end: "when and how much data was
@@ -84,7 +84,7 @@ struct Report {
   /// the flow-arrow id emitted by the client's "phi.report" span. The
   /// server's aggregation span closes the arrow. Never affects behavior.
   std::uint32_t trace = 0;
-  std::uint64_t bind = 0;
+  std::uint32_t bind = 0;
 
   bool has_report_id() const noexcept { return epoch != 0; }
   /// 64-bit key of (sender_id, epoch, seq) for the recently-seen set.

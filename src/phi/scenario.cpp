@@ -88,22 +88,21 @@ class TimeSeriesProbe {
   std::vector<const tcp::TcpSender*> senders_;
 };
 
-/// Scoped install of a run's SpanLog as the thread's span sink.
-struct SpanGuard {
-  SpanGuard() = default;
-  void install(telemetry::SpanLog* log) {
-    prev_ = telemetry::spans();
+/// Scoped install of a run's EventLog as the thread's log.
+struct LogGuard {
+  LogGuard() = default;
+  void install(telemetry::EventLog* log) {
+    prev_ = telemetry::set_event_log(log);
     active_ = true;
-    telemetry::set_spans(log);
   }
-  ~SpanGuard() {
-    if (active_) telemetry::set_spans(prev_);
+  ~LogGuard() {
+    if (active_) telemetry::set_event_log(prev_);
   }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
+  LogGuard(const LogGuard&) = delete;
+  LogGuard& operator=(const LogGuard&) = delete;
 
  private:
-  telemetry::SpanLog* prev_ = nullptr;
+  telemetry::EventLog* prev_ = nullptr;
   bool active_ = false;
 };
 
@@ -156,7 +155,7 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
           "sharded scenarios cannot inject control-plane faults");
     if (spec.telemetry.trace_one_in > 0)
       throw std::invalid_argument(
-          "sharded scenarios cannot trace flows (the SpanLog is a "
+          "sharded scenarios cannot trace flows (the EventLog is a "
           "single-thread sink)");
     if (spec.telemetry.timeseries_dt > 0)
       throw std::invalid_argument(
@@ -170,19 +169,19 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
     }
   }
 
-  // Observability: the SpanLog must be live before any sender is built
+  // Observability: the EventLog must be live before any sender is built
   // (senders sample their flow's trace tag at construction); the
   // profiler hooks straight into the scheduler's run loop. With a
   // default TelemetrySpec none of this happens and the run is untouched.
   std::shared_ptr<RunCapture> capture;
-  SpanGuard span_guard;
+  LogGuard log_guard;
   std::vector<telemetry::LoopProfile> shard_profiles;
   if (spec.telemetry.any()) {
     capture = std::make_shared<RunCapture>(spec.telemetry.trace_one_in,
                                            spec.seed,
                                            spec.telemetry.span_capacity);
     if (spec.telemetry.trace_one_in > 0)
-      span_guard.install(&capture->spans);
+      log_guard.install(&capture->log);
     if (spec.telemetry.profile) {
       if (srun) {
         // One profile per shard (each scheduler's run loop is its own

@@ -65,7 +65,7 @@ struct ShardSpec {
 /// allocations) to the run, and the engine's behavior — every simulated
 /// event, in order — is identical either way.
 struct TelemetrySpec {
-  /// > 0: install a SpanLog sampling 1-in-this flows (1 = every flow)
+  /// > 0: install an EventLog tracing 1-in-this flows (1 = every flow)
   /// for the duration of the run. The log rides out on
   /// ScenarioMetrics::capture.
   std::uint32_t trace_one_in = 0;
@@ -74,7 +74,7 @@ struct TelemetrySpec {
   util::Duration timeseries_dt = 0;
   /// Profile the event loop (per-event-kind time accounting).
   bool profile = false;
-  /// SpanLog event capacity when tracing is on.
+  /// EventLog event capacity when tracing is on.
   std::size_t span_capacity = 1 << 20;
 
   bool any() const noexcept {
@@ -84,12 +84,13 @@ struct TelemetrySpec {
 
 /// Telemetry captured during one run — only what the TelemetrySpec
 /// enabled. Held by shared_ptr on ScenarioMetrics so metrics stay cheap
-/// to copy; the SpanLog reserves nothing unless tracing was requested.
+/// to copy; the log keeps only traced flows (no category mask) and
+/// reserves nothing unless tracing was requested.
 struct RunCapture {
   RunCapture(std::uint32_t trace_one_in, std::uint64_t seed,
-             std::size_t span_capacity)
-      : spans(trace_one_in, seed, trace_one_in > 0 ? span_capacity : 0) {}
-  telemetry::SpanLog spans;
+             std::size_t capacity)
+      : log(0, trace_one_in, seed, capacity) {}
+  telemetry::EventLog log;
   telemetry::LoopProfile profile;
 };
 

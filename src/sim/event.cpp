@@ -358,12 +358,10 @@ void Scheduler::maybe_compact() {
   entries_ -= removed;
   ctr_compactions_->add();
   entries_gauge_->set(static_cast<double>(entries_));
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kScheduler)) {
-    t->instant(telemetry::Category::kScheduler, "sched.compact", now_,
-               {telemetry::targ("before", static_cast<double>(before)),
-                telemetry::targ("after", static_cast<double>(entries_))});
-  }
+  telemetry::emit({.name = "sched.compact",
+                   .cat = telemetry::Category::kScheduler, .t0 = now_,
+                   .k0 = "before", .a0 = static_cast<double>(before),
+                   .k1 = "after", .a1 = static_cast<double>(entries_)});
 }
 
 template <bool kProfiled>

@@ -76,15 +76,10 @@ void Link::send(const Packet& p) {
   if (!up_) {
     ++outage_drops_;
     ctr_outage_drops_->add();
-    telemetry::flight().note(telemetry::Category::kLink, "link.outage_drop",
-                             sched_->now(),
-                             static_cast<double>(p.flow),
-                             static_cast<double>(p.seq));
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kLink)) {
-      t->instant(telemetry::Category::kLink, "link.outage_drop",
-                 sched_->now(), {telemetry::targ("link", name_)});
-    }
+    telemetry::emit({.name = "link.outage_drop",
+                     .cat = telemetry::Category::kLink, .t0 = sched_->now(),
+                     .flow = p.flow, .k0 = "seq",
+                     .a0 = static_cast<double>(p.seq)});
     return;
   }
   const PacketHandle h = pool_->acquire(p);
@@ -93,27 +88,14 @@ void Link::send(const Packet& p) {
       ctr_enqueued_->add();
     } else {
       // The queue disc already accounted the drop in its own stats; the
-      // registry counter and trace event make it visible fleet-wide.
+      // registry counter and event make it visible fleet-wide.
       pool_->release(h);
       ctr_drops_->add();
-      telemetry::flight().note(telemetry::Category::kLink, "link.drop",
-                               sched_->now(), static_cast<double>(p.flow),
-                               static_cast<double>(queue_->bytes()));
-      if (p.trace != 0) {
-        if (auto* sl = telemetry::spans()) {
-          sl->point(p.trace, "link.drop", sched_->now(), "seq",
-                    static_cast<double>(p.seq), "queue_bytes",
-                    static_cast<double>(queue_->bytes()));
-        }
-      }
-      if (auto* t = telemetry::tracer();
-          t && t->enabled(telemetry::Category::kLink)) {
-        t->instant(
-            telemetry::Category::kLink, "link.drop", sched_->now(),
-            {telemetry::targ("link", name_),
-             telemetry::targ("queue_bytes",
-                             static_cast<double>(queue_->bytes()))});
-      }
+      telemetry::emit({.name = "link.drop", .cat = telemetry::Category::kLink,
+                       .t0 = sched_->now(), .trace = p.trace, .flow = p.flow,
+                       .k0 = "seq", .a0 = static_cast<double>(p.seq),
+                       .k1 = "queue_bytes",
+                       .a1 = static_cast<double>(queue_->bytes())});
     }
     occupancy_dirty_ = true;
     return;
@@ -143,12 +125,13 @@ void Link::start_transmission(PacketHandle h) {
   // propagation (+ jitter); the full duration is known here, before the
   // delivery event even fires, so the span is emitted at schedule time.
   if (p.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(p.trace, "link.transit", sched_->now(),
-               sched_->now() + tx + prop_delay_ + extra, "seq",
-               static_cast<double>(p.seq), "bytes",
-               static_cast<double>(p.size_bytes));
-    }
+    telemetry::emit({.name = "link.transit",
+                     .cat = telemetry::Category::kPacket, .phase = 'X',
+                     .t0 = sched_->now(),
+                     .t1 = sched_->now() + tx + prop_delay_ + extra,
+                     .trace = p.trace, .flow = p.flow, .k0 = "seq",
+                     .a0 = static_cast<double>(p.seq), .k1 = "bytes",
+                     .a1 = static_cast<double>(p.size_bytes)});
   }
   if (boundary_ == nullptr) {
     sched_->schedule_delivery_in(tx + prop_delay_ + extra, *this, h);
@@ -168,14 +151,14 @@ void Link::start_transmission(PacketHandle h) {
 void Link::complete_delivery(PacketPool& pool, PacketHandle h) {
   const Packet& p = pool.get(h);
   // Routing visibility for sampled flows: one point per node arrival.
-  // Untraced packets (trace == 0, i.e. everything unless a SpanLog is
-  // installed) pay a single never-taken branch.
+  // Untraced packets (trace == 0, i.e. everything unless a log sampled
+  // the flow) pay a single never-taken branch.
   if (p.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(p.trace, "node.deliver", sched_->now(), "node",
-                static_cast<double>(dst_.id()), "seq",
-                static_cast<double>(p.seq));
-    }
+    telemetry::emit({.name = "node.deliver",
+                     .cat = telemetry::Category::kPacket, .t0 = sched_->now(),
+                     .trace = p.trace, .flow = p.flow, .k0 = "node",
+                     .a0 = static_cast<double>(dst_.id()), .k1 = "seq",
+                     .a1 = static_cast<double>(p.seq)});
   }
   dst_.deliver(p);
   pool.release(h);
@@ -194,15 +177,13 @@ void Link::complete_transmission() {
       util::to_seconds(sched_->now() - next.enqueued_at);
   // Queue-residency span for sampled flows: the packet sat in this
   // link's queue from enqueue until the transmitter freed up just now.
-  {
-    const Packet& qp = pool_->get(next.handle);
-    if (qp.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        sl->span(qp.trace, "queue.wait", next.enqueued_at, sched_->now(),
-                 "seq", static_cast<double>(qp.seq), "queue_bytes",
-                 static_cast<double>(queue_->bytes()));
-      }
-    }
+  if (const Packet& qp = pool_->get(next.handle); qp.trace != 0) {
+    telemetry::emit({.name = "queue.wait",
+                     .cat = telemetry::Category::kPacket, .phase = 'X',
+                     .t0 = next.enqueued_at, .t1 = sched_->now(),
+                     .trace = qp.trace, .flow = qp.flow, .k0 = "seq",
+                     .a0 = static_cast<double>(qp.seq), .k1 = "queue_bytes",
+                     .a1 = static_cast<double>(queue_->bytes())});
   }
   occupancy_dirty_ = true;
   if (qdelay_batch_n_ == kStatsBatch) flush_stats();

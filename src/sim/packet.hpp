@@ -38,9 +38,10 @@ struct Packet {
   std::int32_t size_bytes = kSegmentBytes;
 
   /// Causal-tracing id: nonzero when this packet's flow is sampled by
-  /// the installed telemetry::SpanLog (see span.hpp); components along
-  /// the path emit spans tagged with it. 0 = untraced. Receivers copy it
-  /// onto ACKs so the return path attributes to the same trace.
+  /// the installed telemetry::EventLog (see telemetry/event.hpp);
+  /// components along the path emit events tagged with it. 0 =
+  /// untraced. Receivers copy it onto ACKs so the return path
+  /// attributes to the same trace.
   std::uint32_t trace = 0;
 
   std::uint16_t priority = 0;   ///< phi §3.3 coordination weight class

@@ -46,20 +46,16 @@ bool RedQueue::enqueue(PacketPool& pool, PacketHandle h, util::Time now) {
         p.ce = true;
         ++marks_;
         ctr_marks_->add();
-        if (auto* t = telemetry::tracer();
-            t && t->enabled(telemetry::Category::kQueue)) {
-          t->instant(telemetry::Category::kQueue, "red.mark", now,
-                     {telemetry::targ("avg_bytes", avg_)});
-        }
+        telemetry::emit({.name = "red.mark",
+                         .cat = telemetry::Category::kQueue, .t0 = now,
+                         .flow = p.flow, .k0 = "avg_bytes", .a0 = avg_});
         return q_.enqueue(pool, h, now);
       }
       // Early drop: account it as a drop in the underlying stats.
       ctr_early_drops_->add();
-      if (auto* t = telemetry::tracer();
-          t && t->enabled(telemetry::Category::kQueue)) {
-        t->instant(telemetry::Category::kQueue, "red.early_drop", now,
-                   {telemetry::targ("avg_bytes", avg_)});
-      }
+      telemetry::emit({.name = "red.early_drop",
+                       .cat = telemetry::Category::kQueue, .t0 = now,
+                       .flow = p.flow, .k0 = "avg_bytes", .a0 = avg_});
       return q_.enqueue_drop(p);
     }
   }

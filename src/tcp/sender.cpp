@@ -14,8 +14,8 @@ TcpSender::TcpSender(sim::Scheduler& sched, sim::Node& local,
   node_.attach(flow_, this);
   // The sampling decision is made once, here, so the steady state pays
   // a register compare per packet instead of a hash. Install the
-  // SpanLog (telemetry::set_spans) before constructing senders.
-  if (auto* sl = telemetry::spans()) trace_tag_ = sl->trace_of(flow_);
+  // EventLog (telemetry::set_event_log) before constructing senders.
+  trace_tag_ = telemetry::trace_of(flow_);
   auto& reg = telemetry::registry();
   ctr_conns_ = &reg.counter("tcp.sender.connections_started");
   ctr_conns_done_ = &reg.counter("tcp.sender.connections_finished");
@@ -28,26 +28,13 @@ TcpSender::TcpSender(sim::Scheduler& sched, sim::Node& local,
 }
 
 void TcpSender::trace_state(const char* name) const {
-  // State transitions are rare; keep them in the flight recorder so a
+  // State transitions are rare; the flight recorder keeps them so a
   // post-mortem of e.g. an RTO storm has the recent TCP history. `name`
-  // is a string literal at every call site (the recorder stores the
-  // pointer).
-  telemetry::flight().note(telemetry::Category::kTcp, name, sched_.now(),
-                           cc_->window(), static_cast<double>(flow_));
-  if (trace_tag_ != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(trace_tag_, name, sched_.now(), "cwnd", cc_->window(),
-                "inflight", static_cast<double>(snd_nxt_ - snd_una_));
-    }
-  }
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kTcp)) {
-    t->instant(telemetry::Category::kTcp, name, sched_.now(),
-               {telemetry::targ("cwnd", cc_->window()),
-                telemetry::targ("inflight",
-                                static_cast<double>(snd_nxt_ - snd_una_))},
-               static_cast<std::uint32_t>(flow_));
-  }
+  // is a string literal at every call site (events store the pointer).
+  telemetry::emit({.name = name, .cat = telemetry::Category::kTcp,
+                   .t0 = sched_.now(), .trace = trace_tag_, .flow = flow_,
+                   .k0 = "cwnd", .a0 = cc_->window(), .k1 = "inflight",
+                   .a1 = static_cast<double>(snd_nxt_ - snd_una_)});
 }
 
 TcpSender::~TcpSender() {
@@ -352,27 +339,20 @@ void TcpSender::finish() {
   stats_.rtt_samples = rtt_agg_.count();
   ctr_conns_done_->add();
   // One complete span for the whole connection, closing the causal
-  // chain: adopt -> conn_start -> ... -> conn span end.
+  // chain: adopt -> conn_start -> ... -> conn span end. The untraced
+  // tcp.conn_done instant marks the same moment in the flight recorder,
+  // for every flow.
+  const double segments = static_cast<double>(stats_.segments);
+  const double retransmits = static_cast<double>(stats_.retransmits);
   if (trace_tag_ != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(trace_tag_, "tcp.conn", stats_.start, stats_.end, "segments",
-               static_cast<double>(stats_.segments), "retransmits",
-               static_cast<double>(stats_.retransmits));
-    }
+    telemetry::emit({.name = "tcp.conn", .cat = telemetry::Category::kTcp,
+                     .phase = 'X', .t0 = stats_.start, .t1 = stats_.end,
+                     .trace = trace_tag_, .flow = flow_, .k0 = "segments",
+                     .a0 = segments, .k1 = "retransmits", .a1 = retransmits});
   }
-  telemetry::flight().note(telemetry::Category::kTcp, "tcp.conn_done",
-                           sched_.now(),
-                           static_cast<double>(stats_.segments),
-                           static_cast<double>(stats_.retransmits));
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kTcp)) {
-    t->instant(telemetry::Category::kTcp, "tcp.conn_done", sched_.now(),
-               {telemetry::targ("segments",
-                                static_cast<double>(stats_.segments)),
-                telemetry::targ("retransmits",
-                                static_cast<double>(stats_.retransmits))},
-               static_cast<std::uint32_t>(flow_));
-  }
+  telemetry::emit({.name = "tcp.conn_done", .cat = telemetry::Category::kTcp,
+                   .t0 = sched_.now(), .flow = flow_, .k0 = "segments",
+                   .a0 = segments, .k1 = "retransmits", .a1 = retransmits});
   if (done_) {
     // Move the callback out first: it commonly starts the next connection,
     // which overwrites done_.

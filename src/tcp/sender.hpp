@@ -114,7 +114,7 @@ class TcpSender : public sim::Agent {
     return snd_nxt_ - snd_una_;
   }
 
-  /// Causal-tracing id for this sender's flow: nonzero when a SpanLog
+  /// Causal-tracing id for this sender's flow: nonzero when an EventLog
   /// was installed at construction time and sampled the flow. Stamped
   /// on every outgoing packet; the Phi client reuses it to link context
   /// reports to the connection that produced them.

@@ -43,11 +43,9 @@ void SenderTracer::arm() {
     cwnd_gauge_->set(s.cwnd);
     srtt_gauge_->set(s.srtt_s * 1e3);
     inflight_gauge_->set(static_cast<double>(s.inflight));
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kTcp)) {
-      t->counter(telemetry::Category::kTcp, "tracer.cwnd", s.t, s.cwnd,
-                 static_cast<std::uint32_t>(sender_.flow()));
-    }
+    telemetry::emit({.name = "tracer.cwnd", .cat = telemetry::Category::kTcp,
+                     .phase = 'C', .t0 = s.t, .flow = sender_.flow(),
+                     .k0 = "value", .a0 = s.cwnd});
     arm();
   });
 }

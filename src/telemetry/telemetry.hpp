@@ -1,12 +1,11 @@
 // telemetry.hpp — umbrella header for the telemetry subsystem: the
 // metric registry (counters / gauges / histograms / time series), the
-// structured trace-event sink, causal flow spans, the always-on flight
-// recorder, and the event-loop self-profiler. See docs/TELEMETRY.md for
-// naming conventions, category masks, and how to view traces in Chrome.
+// one event path (emit() into the trace-export log and the always-on
+// flight recorder), and the event-loop self-profiler. See
+// docs/TELEMETRY.md for naming conventions, event categories, and how to
+// view traces in Chrome.
 #pragma once
 
-#include "telemetry/flight_recorder.hpp"
+#include "telemetry/event.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profile.hpp"
-#include "telemetry/span.hpp"
-#include "telemetry/trace.hpp"

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 
 #include <memory>
 #include <vector>
@@ -102,20 +103,19 @@ TEST(ZeroAllocDatapath, SteadyStatePacketTransitDoesNotAllocate) {
 }
 
 TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
-  // The PR 7 extension of the proof: the same steady-state transit with
-  // the full observability stack live — a traced packet recording spans
-  // at every hop, a time series sampling each burst, the flight recorder
-  // noting events, and the event loop self-profiling. Span events are
-  // PODs appended into a buffer reserved up front, time-series samples
-  // land in reserved columns, and the recorder's rings are preallocated,
-  // so none of it may touch the heap once warm.
-  telemetry::SpanLog log(/*sample_one_in=*/1, /*seed=*/0,
-                         /*capacity=*/1 << 17);
-  telemetry::set_spans(&log);
+  // The same steady-state transit with the full observability stack
+  // live — a traced packet recording spans at every hop, a time series
+  // sampling each burst, the flight recorder keeping instants, and the
+  // event loop self-profiling. Events are PODs appended into a buffer
+  // reserved up front, time-series samples land in reserved columns,
+  // and the recorder's rings are preallocated, so none of it may touch
+  // the heap once warm.
+  telemetry::EventLog log(/*mask=*/0, /*trace_one_in=*/1, /*seed=*/0,
+                          /*capacity=*/1 << 17);
+  telemetry::set_event_log(&log);
   telemetry::LoopProfile prof;
   auto& ts = telemetry::registry().timeseries("alloc_test.queue_bytes");
   ts.reserve(64);
-  telemetry::FlightRecorder& fr = telemetry::flight();
 
   Network net;
   net.scheduler().set_profile(&prof);
@@ -135,11 +135,7 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
   p.dst = b.id();
   p.flow = 1;
   p.trace = log.trace_of(1);  // sampled: every hop records span events
-#ifndef PHI_TELEMETRY_OFF
   ASSERT_NE(p.trace, 0u);
-#else
-  p.trace = 1;  // field survives the off build; hop guards must stay free
-#endif
   constexpr int kBatch = 512;
   auto burst = [&] {
     for (int i = 0; i < kBatch; ++i) {
@@ -149,7 +145,8 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
     net.run_until(net.now() + util::milliseconds(10));
     ts.sample(util::to_seconds(net.now()),
               static_cast<double>(l.queue().bytes()));
-    fr.note(telemetry::Category::kBench, "alloc_test.burst", net.now());
+    telemetry::emit({.name = "alloc_test.burst",
+                     .cat = telemetry::Category::kBench, .t0 = net.now()});
   };
 
   for (int round = 0; round < 4; ++round) burst();  // warm-up
@@ -170,13 +167,85 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
   EXPECT_GT(log.events().size(), spans_before);
   EXPECT_EQ(log.dropped(), 0u);
   EXPECT_GE(ts.size(), 12u);
-  EXPECT_GE(fr.ring_size(telemetry::Category::kBench), 12u);
+  EXPECT_GE(telemetry::flight().ring(telemetry::Category::kBench).size(),
+            12u);
   EXPECT_GT(prof.events(telemetry::LoopProfile::kDelivery), 0u);
 #else
   (void)spans_before;
 #endif
   net.scheduler().set_profile(nullptr);
-  telemetry::set_spans(nullptr);
+  telemetry::set_event_log(nullptr);
+  b.detach(1);
+}
+
+TEST(ZeroAllocDatapath, EveryEventSinkLiveStaysAllocationFree) {
+  // Every view of the event path at once: a log keeping every category
+  // and tracing every flow, plus the flight recorder's rings, while a
+  // queue smaller than each burst makes link.drop instants fire next to
+  // the per-packet spans and points. Events are PODs copied into storage
+  // reserved up front, so none of it may touch the heap once warm.
+  telemetry::EventLog log(telemetry::kAllCategories, /*trace_one_in=*/1,
+                          /*seed=*/0, /*capacity=*/1 << 16);
+  telemetry::set_event_log(&log);
+  const telemetry::FlightRecorder& fr = telemetry::flight();
+
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  // 64 KiB of buffer against 512-segment bursts: most of each burst drops.
+  Link& l = net.add_link(a, b, 1.0 * util::kGbps, util::microseconds(10),
+                         64 * 1024);
+  a.add_route(b.id(), &l);
+  struct Count : Agent {
+    std::uint64_t n = 0;
+    void on_packet(const Packet&) override { ++n; }
+  } sink;
+  b.attach(1, &sink);
+
+  Packet p;
+  p.src = a.id();
+  p.dst = b.id();
+  p.flow = 1;
+  p.trace = telemetry::trace_of(1);
+  constexpr int kBatch = 512;
+  auto burst = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      p.seq = i;
+      a.send(p);
+    }
+    net.run_until(net.now() + util::milliseconds(10));
+  };
+
+  for (int round = 0; round < 4; ++round) burst();  // warm-up
+  const std::size_t logged_before = log.events().size();
+  const std::uint64_t kept_before = fr.recorded();
+
+  const std::uint64_t allocs_before =
+      g_allocs.load(std::memory_order_relaxed);
+  for (int round = 0; round < 8; ++round) burst();
+  const std::uint64_t allocs_after =
+      g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(allocs_after - allocs_before, 0u);
+  EXPECT_GT(sink.n, 0u);
+  EXPECT_GT(l.queue().stats().dropped, 0u);
+#ifndef PHI_TELEMETRY_OFF
+  std::size_t instants = 0, spans = 0;
+  for (std::size_t i = logged_before; i < log.events().size(); ++i) {
+    const telemetry::Event& e = log.events()[i];
+    instants += e.phase == 'i' && std::string_view(e.name) == "link.drop";
+    spans += e.phase == 'X';
+  }
+  EXPECT_GT(instants, 0u);
+  EXPECT_GT(spans, 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+  EXPECT_GE(fr.recorded() - kept_before, instants);
+  EXPECT_GT(fr.ring(telemetry::Category::kLink).size(), 0u);
+#else
+  (void)logged_before;
+  (void)kept_before;
+#endif
+  telemetry::set_event_log(nullptr);
   b.detach(1);
 }
 

@@ -1,12 +1,16 @@
-// The second-generation observability layer: deterministic span
-// sampling, SpanLog recording + Chrome JSON shape, flight-recorder ring
-// semantics and one-shot arming, event-loop self-profiling, time-series
-// merge determinism, and the contract that none of it perturbs the
-// simulation — plus the PHI_TELEMETRY_OFF stubs compiling to no-ops.
+// The observability layer: deterministic flow sampling, the event path's
+// routing contract (what the log and the flight recorder each keep),
+// flight-recorder ring semantics and one-shot arming, event-loop
+// self-profiling, time-series merge determinism, and the contract that
+// none of it perturbs the simulation — plus the PHI_TELEMETRY_OFF stubs
+// compiling to no-ops.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "phi/scenario.hpp"
 #include "sim/event.hpp"
@@ -26,19 +30,17 @@ core::ScenarioSpec tiny_dumbbell() {
   return spec;
 }
 
-#ifndef PHI_TELEMETRY_OFF
-
-// --- Span sampling -----------------------------------------------------
+// --- Flow sampling (both modes: the log's sampler is plain code) -------
 
 TEST(SpanSampling, PureFunctionOfFlowSeedRate) {
-  SpanLog a(8, /*seed=*/42, /*capacity=*/0);
-  SpanLog b(8, /*seed=*/42, /*capacity=*/0);
+  const EventLog a(0, 8, /*seed=*/42, /*capacity=*/0);
+  const EventLog b(0, 8, /*seed=*/42, /*capacity=*/0);
   for (std::uint64_t flow = 0; flow < 4096; ++flow)
     EXPECT_EQ(a.trace_of(flow), b.trace_of(flow)) << flow;
 }
 
 TEST(SpanSampling, RateEndpoints) {
-  SpanLog none(0, 0, 0), all(1, 0, 0);
+  const EventLog none(0, 0, 0, 0), all(0, 1, 0, 0);
   for (std::uint64_t flow = 0; flow < 256; ++flow) {
     EXPECT_EQ(none.trace_of(flow), 0u);
     EXPECT_NE(all.trace_of(flow), 0u);
@@ -50,7 +52,7 @@ TEST(SpanSampling, RateEndpoints) {
 }
 
 TEST(SpanSampling, OneInNHitsRoughlyOneInN) {
-  SpanLog log(64, /*seed=*/3, 0);
+  const EventLog log(0, 64, /*seed=*/3, 0);
   int sampled = 0;
   constexpr int kFlows = 64 * 1024;
   for (std::uint64_t flow = 1; flow <= kFlows; ++flow)
@@ -61,22 +63,76 @@ TEST(SpanSampling, OneInNHitsRoughlyOneInN) {
 }
 
 TEST(SpanSampling, SeedSelectsDifferentFlows) {
-  SpanLog s1(64, 1, 0), s2(64, 2, 0);
+  const EventLog s1(0, 64, 1, 0), s2(0, 64, 2, 0);
   bool differ = false;
   for (std::uint64_t flow = 1; flow < 4096 && !differ; ++flow)
     differ = (s1.trace_of(flow) != 0) != (s2.trace_of(flow) != 0);
   EXPECT_TRUE(differ);
 }
 
-// --- SpanLog recording -------------------------------------------------
+// --- Flight recorder rings (both modes: fed directly) ------------------
 
-TEST(SpanLog, RecordsAllPhases) {
-  SpanLog log(1, 0, 16);
-  log.span(5, "link.transit", 100, 200, "bytes", 1500.0);
-  log.point(5, "tcp.conn_start", 150, "cwnd", 2.0);
+TEST(FlightRecorderTest, RingKeepsLastDepthEvents) {
+  FlightRecorder fr(/*depth=*/4);
+  for (int i = 0; i < 10; ++i)
+    fr.record({.name = "tcp.evt", .cat = Category::kTcp, .t0 = i,
+               .flow = 9, .k0 = "i", .a0 = static_cast<double>(i)});
+  EXPECT_EQ(fr.recorded(), 10u);
+  ASSERT_EQ(fr.ring(Category::kTcp).size(), 4u);
+  EXPECT_EQ(fr.ring(Category::kTcp).front().event.t0, 6);  // oldest evicted
+  const std::string dump = fr.dump();
+  EXPECT_NE(dump.find("tcp.evt"), std::string::npos);
+  EXPECT_NE(dump.find("flow=9 i=9"), std::string::npos);
+  // Oldest events evicted: the per-category section reports 4 of 10.
+  EXPECT_NE(dump.find("(4)"), std::string::npos);
+}
+
+TEST(FlightRecorderTest, CategoriesHaveIndependentRings) {
+  FlightRecorder fr(2);
+  fr.record({.name = "link.drop", .cat = Category::kLink, .t0 = 1});
+  fr.record({.name = "red.mark", .cat = Category::kQueue, .t0 = 2});
+  fr.record({.name = "red.mark", .cat = Category::kQueue, .t0 = 3});
+  fr.record({.name = "red.mark", .cat = Category::kQueue, .t0 = 4});
+  EXPECT_EQ(fr.ring(Category::kLink).size(), 1u);
+  EXPECT_EQ(fr.ring(Category::kQueue).size(), 2u);
+}
+
+TEST(FlightRecorderTest, ArmFiresOnceOnMatchingCategory) {
+  const std::string path =
+      ::testing::TempDir() + "/phi_flight_arm_test.txt";
+  std::remove(path.c_str());
+  FlightRecorder fr(8);
+  fr.arm(mask_of(Category::kFault), path);
+  EXPECT_TRUE(fr.armed());
+  fr.record({.name = "tcp.evt", .cat = Category::kTcp, .t0 = 1});
+  EXPECT_TRUE(fr.armed());  // not in the mask: no dump
+  EXPECT_EQ(fr.last_dump_path(), "");
+  fr.record({.name = "fault.report_drop", .cat = Category::kFault, .t0 = 2});
+  EXPECT_FALSE(fr.armed());  // one-shot latch consumed
+  EXPECT_EQ(fr.last_dump_path(), path);
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  // A second fault writes nothing: the latch fired once.
+  std::remove(path.c_str());
+  fr.record({.name = "fault.crash", .cat = Category::kFault, .t0 = 3});
+  EXPECT_EQ(std::fopen(path.c_str(), "r"), nullptr);
+}
+
+// --- Event log recording (both modes: fed directly) --------------------
+
+TEST(EventLog, RecordsAllPhases) {
+  EventLog log(0, 1, 0, 16);
+  log.record({.name = "link.transit", .cat = Category::kPacket,
+              .phase = 'X', .t0 = 100, .t1 = 200, .trace = 5,
+              .k0 = "bytes", .a0 = 1500.0});
+  log.record({.name = "tcp.conn_start", .cat = Category::kTcp, .t0 = 150,
+              .trace = 5, .k0 = "cwnd", .a0 = 2.0});
   const std::uint32_t bind = log.next_bind();
-  log.flow_out(5, "phi.ctx", 200, bind);
-  log.flow_in(5, "phi.ctx", 300, bind);
+  log.record({.name = "phi.ctx", .cat = Category::kContext, .phase = 's',
+              .t0 = 200, .trace = 5, .bind = bind});
+  log.record({.name = "phi.ctx", .cat = Category::kContext, .phase = 'f',
+              .t0 = 300, .trace = 5, .bind = bind});
   ASSERT_EQ(log.events().size(), 4u);
   EXPECT_EQ(log.events()[0].phase, 'X');
   EXPECT_EQ(log.events()[0].t1, 200);
@@ -88,116 +144,103 @@ TEST(SpanLog, RecordsAllPhases) {
   EXPECT_EQ(log.events()[2].bind, log.events()[3].bind);
 }
 
-TEST(SpanLog, TruncatesNamesInPlaceOfAllocating) {
-  SpanLog log(1, 0, 4);
-  log.point(1, "a.name.much.longer.than.the.inline.buffer.can.hold", 0);
-  const std::string got = log.events()[0].name;
-  EXPECT_EQ(got.size(), sizeof(SpanEvent{}.name) - 1);
-  EXPECT_EQ(got, std::string("a.name.much.longer.than.the.inline.buffer."
-                             "can.hold")
-                     .substr(0, got.size()));
+#ifndef PHI_TELEMETRY_OFF
+
+// --- Routing: what emit() hands each view ------------------------------
+
+/// (category, name, time) of every entry in this thread's rings, in
+/// category then recording order.
+std::vector<std::tuple<Category, std::string, util::Time>> ring_contents() {
+  std::vector<std::tuple<Category, std::string, util::Time>> out;
+  for (std::size_t i = 0; i < kCategoryCount; ++i) {
+    const auto& ring = flight().ring(static_cast<Category>(1u << i));
+    for (std::size_t j = 0; j < ring.size(); ++j) {
+      const Event& e = ring[j].event;
+      out.emplace_back(e.cat, e.name, e.t0);
+    }
+  }
+  return out;
 }
 
-TEST(SpanLog, CapacityDropsThenClearRearms) {
-  SpanLog log(1, 0, /*capacity=*/2);
-  log.point(1, "a", 0);
-  log.point(1, "b", 1);
-  log.point(1, "c", 2);
-  EXPECT_EQ(log.events().size(), 2u);
-  EXPECT_EQ(log.dropped(), 1u);
-  log.clear();
-  EXPECT_EQ(log.events().size(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
-  log.point(1, "d", 3);
-  EXPECT_EQ(log.events().size(), 1u);
+TEST(EventLog, ThreadLocalInstallAndRestore) {
+  EXPECT_EQ(event_log(), nullptr);
+  EventLog outer(0, 1, 0, 4), inner(0, 1, 0, 4);
+  EXPECT_EQ(set_event_log(&outer), nullptr);
+  EXPECT_EQ(set_event_log(&inner), &outer);
+  EXPECT_EQ(event_log(), &inner);
+  EventLog* seen_elsewhere = &inner;
+  std::thread([&] { seen_elsewhere = event_log(); }).join();
+  EXPECT_EQ(seen_elsewhere, nullptr);  // other threads see no log
+  EXPECT_EQ(set_event_log(&outer), &inner);
+  EXPECT_EQ(set_event_log(nullptr), &outer);
+  EXPECT_EQ(event_log(), nullptr);
 }
 
-TEST(SpanLog, ChromeJsonHasSlicesArrowsAndTrackNames) {
-  SpanLog log(1, 0, 16);
-  log.span(9, "link.transit", 1000, 2000);
-  const std::uint32_t bind = log.next_bind();
-  log.flow_out(9, "hop", 2000, bind);
-  log.flow_in(9, "hop", 3000, bind);
-  const std::string json = log.chrome_json();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("flow 9"), std::string::npos);
+TEST(EventRouting, SampledInstantIsRecordedOnceInLogAndRing) {
+  EventLog log(mask_of(Category::kTcp), /*trace_one_in=*/1, 0, 16);
+  set_event_log(&log);
+  flight().clear();
+  emit({.name = "tcp.rto", .cat = Category::kTcp, .t0 = 5,
+        .trace = trace_of(42), .flow = 42, .k0 = "cwnd", .a0 = 1.0});
+  set_event_log(nullptr);
+  ASSERT_EQ(log.events().size(), 1u);
+  EXPECT_STREQ(log.events()[0].name, "tcp.rto");
+  EXPECT_EQ(log.events()[0].trace, 42u);
+  const auto rings = ring_contents();
+  ASSERT_EQ(rings.size(), 1u);
+  EXPECT_EQ(rings[0], std::make_tuple(Category::kTcp, std::string("tcp.rto"),
+                                      util::Time{5}));
+  flight().clear();
 }
 
-TEST(SpanLog, ThreadLocalInstallAndRestore) {
-  EXPECT_EQ(spans(), nullptr);
-  SpanLog log(1, 0, 4);
-  set_spans(&log);
-  EXPECT_EQ(spans(), &log);
-  set_spans(nullptr);
-  EXPECT_EQ(spans(), nullptr);
+TEST(EventRouting, MaskZeroKeepsExactlyTheSampledFlows) {
+  // The --trace-flows shape: no category mask, 1-in-4 flow sampling.
+  EventLog log(/*mask=*/0, /*trace_one_in=*/4, /*seed=*/9, 1 << 12);
+  set_event_log(&log);
+  std::size_t sampled = 0;
+  for (std::uint64_t flow = 1; flow <= 256; ++flow) {
+    const std::uint32_t trace = trace_of(flow);
+    sampled += trace != 0;
+    emit({.name = "tcp.rto", .cat = Category::kTcp, .t0 = 1, .trace = trace,
+          .flow = flow});
+    emit({.name = "link.transit", .cat = Category::kPacket, .phase = 'X',
+          .t0 = 1, .t1 = 2, .trace = trace, .flow = flow});
+    emit({.name = "tcp.conn_done", .cat = Category::kTcp, .t0 = 2,
+          .flow = flow});  // untraced: the mask alone decides, and drops it
+  }
+  set_event_log(nullptr);
+  flight().clear();
+  ASSERT_GT(sampled, 0u);
+  ASSERT_LT(sampled, 256u);
+  ASSERT_EQ(log.events().size(), 2 * sampled);
+  for (const Event& e : log.events()) {
+    EXPECT_NE(e.trace, 0u);
+    EXPECT_EQ(e.trace, log.trace_of(e.flow)) << e.flow;
+  }
 }
 
-// --- Flight recorder ---------------------------------------------------
-
-TEST(FlightRecorderTest, RingKeepsLastDepthEvents) {
-  FlightRecorder fr(/*depth=*/4);
-  for (int i = 0; i < 10; ++i)
-    fr.note(Category::kTcp, "tcp.evt", i, i);
-  EXPECT_EQ(fr.recorded(), 10u);
-  EXPECT_EQ(fr.ring_size(Category::kTcp), 4u);
-  const std::string dump = fr.dump();
-  EXPECT_NE(dump.find("tcp.evt"), std::string::npos);
-  // Oldest events evicted: the per-category section reports 4 of 10.
-  EXPECT_NE(dump.find("(4)"), std::string::npos);
-}
-
-TEST(FlightRecorderTest, CategoriesHaveIndependentRings) {
-  FlightRecorder fr(2);
-  fr.note(Category::kLink, "link.drop", 1);
-  fr.note(Category::kQueue, "red.mark", 2);
-  fr.note(Category::kQueue, "red.mark", 3);
-  fr.note(Category::kQueue, "red.mark", 4);
-  EXPECT_EQ(fr.ring_size(Category::kLink), 1u);
-  EXPECT_EQ(fr.ring_size(Category::kQueue), 2u);
-}
-
-TEST(FlightRecorderTest, ArmFiresOnceOnMatchingCategory) {
-  const std::string path =
-      ::testing::TempDir() + "/phi_flight_arm_test.txt";
-  std::remove(path.c_str());
-  FlightRecorder fr(8);
-  fr.arm(mask_of(Category::kFault), path);
-  EXPECT_TRUE(fr.armed());
-  fr.note(Category::kTcp, "tcp.evt", 1);  // not in mask: no dump
-  EXPECT_TRUE(fr.armed());
-  EXPECT_EQ(fr.last_dump_path(), "");
-  fr.note(Category::kFault, "fault.drop_report", 2);
-  EXPECT_FALSE(fr.armed());  // one-shot latch consumed
-  EXPECT_EQ(fr.last_dump_path(), path);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(path.c_str());
-}
-
-TEST(FlightRecorderTest, AnomalyDumpsToArmedPath) {
-  const std::string path =
-      ::testing::TempDir() + "/phi_flight_anomaly_test.txt";
-  std::remove(path.c_str());
-  FlightRecorder fr(8);
-  fr.note(Category::kScheduler, "sched.run", 1);
-  fr.arm(kAllCategories, path);
-  fr.anomaly("queue.stuck", 2, 42.0);
-  EXPECT_EQ(fr.last_dump_path(), path);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[4096];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  const std::string dump(buf);
-  EXPECT_NE(dump.find("queue.stuck"), std::string::npos);
-  EXPECT_NE(dump.find("sched.run"), std::string::npos);
-  std::remove(path.c_str());
+TEST(EventRouting, FlowTracingLeavesTheRingsUnchanged) {
+  // Spans, arrows, counters and per-packet points never enter the rings,
+  // and every instant that does is emitted whether or not its flow is
+  // traced — so tracing every flow or none leaves identical rings.
+  auto rings_after = [](std::uint32_t trace_one_in) {
+    core::ScenarioSpec spec = tiny_dumbbell();
+    spec.telemetry.trace_one_in = trace_one_in;
+    MetricRegistry mine;
+    ScopedRegistry scope(mine);
+    flight().clear();
+    (void)core::run_cubic_scenario(spec, tcp::CubicParams{});
+    auto out = ring_contents();
+    flight().clear();
+    return out;
+  };
+  const auto untraced = rings_after(0);
+  const auto traced = rings_after(1);
+  EXPECT_FALSE(untraced.empty());
+  EXPECT_EQ(traced, untraced);
+  for (const auto& [cat, name, t] : untraced) {
+    EXPECT_NE(cat, Category::kPacket) << name;
+  }
 }
 
 // --- Event-loop self-profiling ----------------------------------------
@@ -303,8 +346,8 @@ TEST(ScenarioTelemetry, CaptureIsBitIdenticalAcrossRuns) {
 
   ASSERT_NE(m1.capture, nullptr);
   ASSERT_NE(m2.capture, nullptr);
-  EXPECT_GT(m1.capture->spans.events().size(), 0u);
-  EXPECT_EQ(m1.capture->spans.chrome_json(), m2.capture->spans.chrome_json());
+  EXPECT_GT(m1.capture->log.events().size(), 0u);
+  EXPECT_EQ(m1.capture->log.chrome_json(), m2.capture->log.chrome_json());
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv2);
 }
@@ -346,40 +389,16 @@ TEST(ScenarioTelemetry, TracedRunCoversTheDatapath) {
   }
   ASSERT_NE(m.capture, nullptr);
   bool conn_start = false, link_transit = false;
-  for (const auto& e : m.capture->spans.events()) {
+  for (const auto& e : m.capture->log.events()) {
     conn_start = conn_start || std::string(e.name) == "tcp.conn_start";
     link_transit = link_transit || std::string(e.name) == "link.transit";
   }
   EXPECT_TRUE(conn_start);
   EXPECT_TRUE(link_transit);
-  EXPECT_EQ(m.capture->spans.dropped(), 0u);
+  EXPECT_EQ(m.capture->log.dropped(), 0u);
 }
 
 #else  // PHI_TELEMETRY_OFF — the whole layer must be inert no-op stubs.
-
-TEST(ObservabilityStubs, SpanLogCompilesToNothing) {
-  SpanLog log(1, 0, 1024);
-  EXPECT_EQ(log.trace_of(1), 0u);
-  log.span(1, "x", 0, 1);
-  log.point(1, "y", 0);
-  log.flow_out(1, "z", 0, log.next_bind());
-  EXPECT_TRUE(log.events().empty());
-  EXPECT_EQ(log.chrome_json(), "{\"traceEvents\":[]}\n");
-  EXPECT_EQ(spans(), nullptr);
-  set_spans(&log);
-  EXPECT_EQ(spans(), nullptr);
-}
-
-TEST(ObservabilityStubs, FlightRecorderIsInert) {
-  FlightRecorder fr(64);
-  fr.arm(kAllCategories, "/nonexistent/never_written.txt");
-  fr.note(Category::kFault, "fault", 1);
-  fr.anomaly("anomaly", 2);
-  EXPECT_EQ(fr.recorded(), 0u);
-  EXPECT_FALSE(fr.armed());
-  EXPECT_EQ(fr.last_dump_path(), "");
-  EXPECT_EQ(flight().recorded(), 0u);
-}
 
 TEST(ObservabilityStubs, LoopProfileAndTimeSeriesAreInert) {
   LoopProfile prof;
@@ -405,7 +424,7 @@ TEST(ObservabilityStubs, TelemetrySpecFlagsAreHarmless) {
   EXPECT_DOUBLE_EQ(flagged.throughput_bps, plain.throughput_bps);
   EXPECT_EQ(flagged.connections, plain.connections);
   if (flagged.capture != nullptr)
-    EXPECT_TRUE(flagged.capture->spans.events().empty());
+    EXPECT_TRUE(flagged.capture->log.events().empty());
 }
 
 #endif  // PHI_TELEMETRY_OFF

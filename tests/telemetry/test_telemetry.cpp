@@ -1,6 +1,6 @@
 // Telemetry subsystem tests: registry identity invariants, histogram
-// accuracy against exact order statistics, exporter formats, trace-event
-// JSON round-trips (via the minimal JSON parser below), and the
+// accuracy against exact order statistics, exporter formats, event-log
+// JSON/JSONL round-trips (via the minimal JSON parser below), and the
 // PHI_TELEMETRY_OFF contract. The whole file compiles in both modes; the
 // sections that inspect recorded values are gated on the real
 // implementation, and a dedicated section pins down the stubbed
@@ -307,86 +307,18 @@ TEST(Exporters, CsvHasHeaderAndOneRowPerInstrument) {
   EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 3);
 }
 
-// ---------------- trace sink ----------------
-
-TEST(TraceSink, ChromeJsonRoundTrip) {
-  TraceSink sink;
-  sink.instant(Category::kTcp, "tcp.rto", util::seconds(1),
-               {targ("cwnd", 12.5), targ("why", "timeout")}, 7);
-  sink.counter(Category::kLink, "util", util::seconds(2), 0.75);
-  const JsonValue root = parse_or_fail(sink.chrome_json());
-  const JsonValue* events = root.at("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->array.size(), 2u);
-  const JsonValue& e0 = events->array[0];
-  EXPECT_EQ(e0.at("name")->str, "tcp.rto");
-  EXPECT_EQ(e0.at("cat")->str, "tcp");
-  EXPECT_EQ(e0.at("ph")->str, "i");
-  EXPECT_EQ(e0.at("tid")->number, 7.0);
-  // ts is microseconds in the Chrome format; the event was at 1 s.
-  EXPECT_DOUBLE_EQ(e0.at("ts")->number, 1e6);
-  EXPECT_DOUBLE_EQ(e0.at("args")->at("cwnd")->number, 12.5);
-  EXPECT_EQ(e0.at("args")->at("why")->str, "timeout");
-  const JsonValue& e1 = events->array[1];
-  EXPECT_EQ(e1.at("ph")->str, "C");
-  EXPECT_DOUBLE_EQ(e1.at("args")->at("value")->number, 0.75);
-}
-
-TEST(TraceSink, JsonlEveryLineParses) {
-  TraceSink sink;
-  for (int i = 0; i < 5; ++i)
-    sink.instant(Category::kBench, "tick", i * 1000,
-                 {targ("i", static_cast<double>(i))});
-  const std::string jsonl = sink.jsonl();
-  std::size_t start = 0, lines = 0;
-  while (start < jsonl.size()) {
-    const std::size_t end = jsonl.find('\n', start);
-    ASSERT_NE(end, std::string::npos);
-    const JsonValue v = parse_or_fail(jsonl.substr(start, end - start));
-    EXPECT_EQ(v.at("name")->str, "tick");
-    EXPECT_EQ(v.at("ts_ns")->number, static_cast<double>(lines * 1000));
-    start = end + 1;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 5u);
-}
-
-TEST(TraceSink, CategoryMaskFilters) {
-  TraceSink sink(mask_of(Category::kTcp));
-  EXPECT_TRUE(sink.enabled(Category::kTcp));
-  EXPECT_FALSE(sink.enabled(Category::kLink));
-  sink.instant(Category::kLink, "dropped", 0);
-  sink.instant(Category::kTcp, "kept", 0);
-  ASSERT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.events()[0].name, "kept");
-}
-
-TEST(TraceSink, MaxEventsBoundsMemory) {
-  TraceSink sink(kAllCategories, /*max_events=*/3);
-  for (int i = 0; i < 10; ++i) sink.instant(Category::kBench, "e", i);
-  EXPECT_EQ(sink.events().size(), 3u);
-  EXPECT_EQ(sink.dropped(), 7u);
-  sink.clear();
-  EXPECT_EQ(sink.events().size(), 0u);
-  EXPECT_EQ(sink.dropped(), 0u);
-}
-
-TEST(TraceSink, GlobalInstallUninstall) {
-  EXPECT_EQ(tracer(), nullptr);
-  TraceSink sink;
-  set_tracer(&sink);
-  EXPECT_EQ(tracer(), &sink);
-  set_tracer(nullptr);
-  EXPECT_EQ(tracer(), nullptr);
-}
-
 #else  // PHI_TELEMETRY_OFF — pin down the stubbed contract.
 
-TEST(TelemetryOff, TracerIsConstantNull) {
-  EXPECT_EQ(tracer(), nullptr);
-  TraceSink sink;
-  set_tracer(&sink);  // ignored
-  EXPECT_EQ(tracer(), nullptr);
+TEST(TelemetryOff, EmitReachesNoView) {
+  EventLog log(kAllCategories, /*trace_one_in=*/1, /*seed=*/0, 16);
+  EXPECT_EQ(set_event_log(&log), nullptr);  // ignored
+  EXPECT_EQ(event_log(), nullptr);
+  EXPECT_EQ(trace_of(7), 0u);
+  EXPECT_EQ(next_bind(), 0u);
+  const std::uint64_t kept = flight().recorded();
+  emit({.name = "tcp.rto", .cat = Category::kTcp, .trace = 7, .flow = 7});
+  EXPECT_TRUE(log.events().empty());
+  EXPECT_EQ(flight().recorded(), kept);
 }
 
 TEST(TelemetryOff, RegistryAcceptsUpdatesAndStaysEmpty) {
@@ -403,16 +335,6 @@ TEST(TelemetryOff, RegistryAcceptsUpdatesAndStaysEmpty) {
   EXPECT_EQ(reg.json(), "{}\n");
 }
 
-TEST(TelemetryOff, TraceSinkRecordsNothing) {
-  TraceSink sink;
-  EXPECT_FALSE(sink.enabled(Category::kTcp));
-  sink.instant(Category::kTcp, "e", 0);
-  EXPECT_EQ(sink.events().size(), 0u);
-  const JsonValue root = parse_or_fail(sink.chrome_json());
-  ASSERT_NE(root.at("traceEvents"), nullptr);
-  EXPECT_EQ(root.at("traceEvents")->array.size(), 0u);
-}
-
 #endif  // PHI_TELEMETRY_OFF
 
 // Compiles and runs identically in both modes: the instrumentation
@@ -420,10 +342,110 @@ TEST(TelemetryOff, TraceSinkRecordsNothing) {
 TEST(TelemetryBothModes, InstrumentationPatternCompiles) {
   Counter* ctr = &registry().counter("bothmodes.count");
   ctr->add();
-  if (auto* t = tracer(); t && t->enabled(Category::kBench)) {
-    t->instant(Category::kBench, "bothmodes.tick", 0);
-  }
+  emit({.name = "bothmodes.tick", .cat = Category::kBench,
+        .trace = trace_of(1), .k0 = "i", .a0 = 1.0});
   SUCCEED();
+}
+
+// ---------------- event log rendering (both modes) ----------------
+
+TEST(EventLog, ChromeJsonRoundTrip) {
+  EventLog log(kAllCategories, 0, 0, 16);
+  log.record({.name = "tcp.rto", .cat = Category::kTcp, .t0 = util::seconds(1),
+              .trace = 7, .flow = 7, .k0 = "cwnd", .a0 = 12.5});
+  log.record({.name = "monitor.utilization", .cat = Category::kLink,
+              .phase = 'C', .t0 = util::seconds(2), .k0 = "value", .a0 = 0.75});
+  log.record({.name = "link.transit", .cat = Category::kPacket, .phase = 'X',
+              .t0 = 1000, .t1 = 3500, .trace = 7});
+  log.record({.name = "hop", .cat = Category::kContext, .phase = 's',
+              .t0 = 2000, .trace = 7, .bind = 3});
+  log.record({.name = "hop", .cat = Category::kContext, .phase = 'f',
+              .t0 = 3000, .trace = 7, .bind = 3});
+  const JsonValue root = parse_or_fail(log.chrome_json());
+  const JsonValue* events = root.at("traceEvents");
+  ASSERT_NE(events, nullptr);
+  // One track-name record for flow 7, then the five events in order.
+  ASSERT_EQ(events->array.size(), 6u);
+  const JsonValue& track = events->array[0];
+  EXPECT_EQ(track.at("ph")->str, "M");
+  EXPECT_EQ(track.at("args")->at("name")->str, "flow 7");
+  const JsonValue& rto = events->array[1];
+  EXPECT_EQ(rto.at("name")->str, "tcp.rto");
+  EXPECT_EQ(rto.at("ph")->str, "i");
+  EXPECT_EQ(rto.at("s")->str, "t");  // scoped to the flow's track
+  EXPECT_EQ(rto.at("tid")->number, 7.0);
+  // ts is microseconds in the Chrome format; the event was at 1 s.
+  EXPECT_DOUBLE_EQ(rto.at("ts")->number, 1e6);
+  EXPECT_DOUBLE_EQ(rto.at("args")->at("cwnd")->number, 12.5);
+  const JsonValue& counter = events->array[2];
+  EXPECT_EQ(counter.at("ph")->str, "C");
+  EXPECT_EQ(counter.at("tid")->number, 0.0);
+  EXPECT_DOUBLE_EQ(counter.at("args")->at("value")->number, 0.75);
+  const JsonValue& slice = events->array[3];
+  EXPECT_EQ(slice.at("ph")->str, "X");
+  EXPECT_DOUBLE_EQ(slice.at("dur")->number, 2.5);
+  EXPECT_EQ(slice.at("args"), nullptr);  // no keys, no args object
+  EXPECT_EQ(events->array[4].at("ph")->str, "s");
+  EXPECT_EQ(events->array[5].at("ph")->str, "f");
+  EXPECT_EQ(events->array[5].at("bp")->str, "e");
+  EXPECT_EQ(events->array[4].at("id")->number,
+            events->array[5].at("id")->number);
+}
+
+TEST(EventLog, JsonlEveryLineParses) {
+  EventLog log(kAllCategories, 0, 0, 16);
+  for (int i = 0; i < 5; ++i)
+    log.record({.name = "tick", .cat = Category::kBench, .t0 = i * 1000,
+                .flow = 3, .k0 = "i", .a0 = static_cast<double>(i)});
+  const std::string jsonl = log.jsonl();
+  std::size_t start = 0, lines = 0;
+  while (start < jsonl.size()) {
+    const std::size_t end = jsonl.find('\n', start);
+    ASSERT_NE(end, std::string::npos);
+    const JsonValue v = parse_or_fail(jsonl.substr(start, end - start));
+    EXPECT_EQ(v.at("name")->str, "tick");
+    EXPECT_EQ(v.at("cat")->str, "bench");
+    EXPECT_EQ(v.at("flow")->number, 3.0);
+    EXPECT_EQ(v.at("ts_ns")->number, static_cast<double>(lines * 1000));
+    EXPECT_EQ(v.at("args")->at("i")->number, static_cast<double>(lines));
+    start = end + 1;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 5u);
+}
+
+TEST(EventLog, CategoryMaskFilters) {
+  EventLog log(mask_of(Category::kTcp), 0, 0, 16);
+  log.record({.name = "dropped", .cat = Category::kLink});
+  log.record({.name = "kept", .cat = Category::kTcp});
+  // A traced event is kept whatever its category.
+  log.record({.name = "traced", .cat = Category::kLink, .trace = 4});
+  ASSERT_EQ(log.events().size(), 2u);
+  EXPECT_STREQ(log.events()[0].name, "kept");
+  EXPECT_STREQ(log.events()[1].name, "traced");
+}
+
+TEST(EventLog, OverflowCountsDroppedAndClearRearms) {
+  EventLog log(kAllCategories, 0, 0, /*capacity=*/3);
+  for (int i = 0; i < 10; ++i)
+    log.record({.name = "e", .cat = Category::kBench, .t0 = i});
+  EXPECT_EQ(log.events().size(), 3u);
+  EXPECT_EQ(log.dropped(), 7u);
+  EXPECT_EQ(log.next_bind(), 1u);
+  log.clear();
+  EXPECT_EQ(log.events().size(), 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+  EXPECT_EQ(log.next_bind(), 1u);  // binding ids restart too
+  log.record({.name = "again", .cat = Category::kBench});
+  ASSERT_EQ(log.events().size(), 1u);
+  EXPECT_STREQ(log.events()[0].name, "again");
+}
+
+TEST(EventLog, ReservesNothingUnlessItCanRecord) {
+  const EventLog idle(/*mask=*/0, /*trace_one_in=*/0, 0, 1 << 20);
+  EXPECT_EQ(idle.events().capacity(), 0u);
+  const EventLog tracing(/*mask=*/0, /*trace_one_in=*/64, 0, 1 << 10);
+  EXPECT_GE(tracing.events().capacity(), 1u << 10);
 }
 
 }  // namespace

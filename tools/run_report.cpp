@@ -46,7 +46,7 @@ struct SpanDigest {
   std::size_t arrows_paired = 0;
   std::size_t traces = 0;
 
-  explicit SpanDigest(const telemetry::SpanLog& log) {
+  explicit SpanDigest(const telemetry::EventLog& log) {
     std::set<std::uint32_t> outs, ins, tids;
     for (const auto& e : log.events()) {
       tids.insert(e.trace);
@@ -182,8 +182,8 @@ int main(int argc, char** argv) {
   bool artifacts_ok = true;
   std::size_t span_events = 0;
   if (metrics.capture) {
-    artifacts_ok &= metrics.capture->spans.write_chrome_json(trace_path);
-    span_events = metrics.capture->spans.events().size();
+    artifacts_ok &= metrics.capture->log.write_chrome_json(trace_path);
+    span_events = metrics.capture->log.events().size();
   }
   artifacts_ok &= telemetry::registry().write_timeseries_csv(ts_path);
 
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
 
   int chain_rc = 0;
   if (metrics.capture) {
-    const SpanDigest digest(metrics.capture->spans);
+    const SpanDigest digest(metrics.capture->log);
     md << "## Causal flow chain\n\n"
        << "Every hop of the context protocol appears as a span; Chrome "
           "flow arrows (`s`/`f` pairs) tie report → aggregation → "
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
        << "| 5 | `tcp.conn_start` (cwnd after adoption) | "
        << digest.count("tcp.conn_start") << " |\n\n"
        << digest.traces << " traced flows, " << span_events
-       << " span events (" << metrics.capture->spans.dropped()
+       << " span events (" << metrics.capture->log.dropped()
        << " dropped); flow arrows: " << digest.arrows_out << " out, "
        << digest.arrows_in << " in, " << digest.arrows_paired
        << " ids paired.\n\n";

@@ -283,10 +283,10 @@ int main(int argc, char** argv) {
     const auto& cap = *all.front().capture;
     if (spec.telemetry.trace_one_in > 0 && !dir.empty()) {
       const std::string path = dir + "/run_scenario_" + name + "_trace.json";
-      if (cap.spans.write_chrome_json(path)) {
+      if (cap.log.write_chrome_json(path)) {
         std::printf("  [trace] %s (%zu span events, %zu dropped)\n",
-                    path.c_str(), cap.spans.events().size(),
-                    cap.spans.dropped());
+                    path.c_str(), cap.log.events().size(),
+                    cap.log.dropped());
       }
     }
     if (spec.telemetry.timeseries_dt > 0 && !dir.empty()) {

@@ -1,16 +1,15 @@
 // telemetry_demo — end-to-end exercise of the telemetry subsystem: runs
 // the Figure-1 dumbbell with a faulty Phi control plane, every built-in
-// instrument live, a trace sink installed, causal flow tracing of every
-// flow, time-series capture, event-loop profiling, and the flight
-// recorder armed to dump on the first injected fault — then dumps all
-// exporter formats:
+// instrument live, one event log installed that keeps every category
+// and traces every flow, time-series capture, event-loop profiling, and
+// the flight recorder armed to dump on the first injected fault — then
+// dumps all exporter formats:
 //
 //   telemetry_demo [--help] [out_dir]   (default: telemetry_demo_out)
-//     out_dir/trace.json          Chrome trace_event JSON — load in
-//                                 about://tracing or ui.perfetto.dev
+//     out_dir/trace.json          Chrome trace_event JSON with causal
+//                                 flow arrows — load in about://tracing
+//                                 or ui.perfetto.dev
 //     out_dir/trace.jsonl         one JSON object per event
-//     out_dir/spans.json          causal flow spans (Chrome trace JSON
-//                                 with flow arrows; Perfetto-viewable)
 //     out_dir/timeseries.csv      tidy time-series capture
 //     out_dir/flight_dump.txt     flight-recorder dump, auto-fired by
 //                                 the first injected control-plane fault
@@ -22,7 +21,7 @@
 // plus the self-profiling run loop), bottleneck link + RED queue
 // (drops/marks/occupancy), TCP senders (retransmits, cwnd cuts), context
 // server (lookups/reports/leases + aggregation spans), and the fault
-// injector (drops/dups/delays/crashes actually fired, each noted in the
+// injector (drops/dups/delays/crashes actually fired, each kept by the
 // flight recorder).
 #include <cstdio>
 #include <cstring>
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: telemetry_demo [out_dir]   (default: "
                  "telemetry_demo_out)\n"
-                 "writes trace.json trace.jsonl spans.json timeseries.csv "
+                 "writes trace.json trace.jsonl timeseries.csv "
                  "flight_dump.txt metrics.{prom,json,csv} into out_dir\n");
     return 0;
   }
@@ -60,31 +59,30 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::TraceSink sink(telemetry::kAllCategories,
-                            /*max_events=*/2'000'000);
-  telemetry::set_tracer(&sink);
-#endif
+  core::ScenarioSpec spec;
+  spec.topology = sim::DumbbellConfig{
+      .pairs = 8, .queue = sim::DumbbellConfig::Queue::kRedEcn};
+  spec.workload.mean_on_bytes = 60e3;
+  spec.workload.mean_off_s = 0.4;
+  spec.duration = util::seconds(30);
+  spec.ecn = true;
+  spec.seed = 7;
+  spec.telemetry.timeseries_dt = util::milliseconds(250);
+  spec.telemetry.profile = true;
+
+  // One log for the whole run: every category, every flow traced. It
+  // must be installed before the senders are built (they sample their
+  // trace id at construction), so it is installed here rather than
+  // through TelemetrySpec::trace_one_in, which keeps traced flows only.
+  telemetry::EventLog log(telemetry::kAllCategories, /*trace_one_in=*/1,
+                          spec.seed, /*capacity=*/1 << 20);
+  telemetry::set_event_log(&log);
   // Black box armed on the fault category: the first injected fault
   // writes the whole per-component event history to disk, exactly the
   // "what led up to this?" artifact the recorder exists for.
   telemetry::flight().arm(
       telemetry::mask_of(telemetry::Category::kFault),
       out + "/flight_dump.txt");
-
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 8;
-  cfg.net.queue = sim::DumbbellConfig::Queue::kRedEcn;
-  cfg.workload.mean_on_bytes = 60e3;
-  cfg.workload.mean_off_s = 0.4;
-  cfg.duration = util::seconds(30);
-  cfg.ecn = true;
-  cfg.seed = 7;
-
-  core::ScenarioSpec spec = cfg.spec();
-  spec.telemetry.trace_one_in = 1;  // causal-trace every flow
-  spec.telemetry.timeseries_dt = util::milliseconds(250);
-  spec.telemetry.profile = true;
 
   std::unique_ptr<core::ContextServer> server;
   std::unique_ptr<core::FaultInjector> injector;
@@ -93,12 +91,12 @@ int main(int argc, char** argv) {
   const auto metrics = core::run_scenario_with_setup(
       spec, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<core::ContextServer>(
             core::ContextServerConfig{},
             [sched] { return sched->now(); });
         server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+                                  live.topology->path_link(0).rate());
         core::FaultConfig fc;
         fc.drop_lookup = 0.02;
         fc.drop_report = 0.02;
@@ -114,7 +112,7 @@ int main(int argc, char** argv) {
         // End-of-run teardown must run while the scheduler is still
         // alive (it dies with the scenario): flush() may schedule a
         // delayed delivery and stop() cancels the pending sample.
-        sched->schedule_in(cfg.duration - 1, [&] {
+        sched->schedule_in(spec.duration - 1, [&] {
           injector->flush();
           tracer->stop();
           (void)server->serialize_state();  // snapshot instruments
@@ -124,34 +122,27 @@ int main(int argc, char** argv) {
                                                           i);
         };
       });
+  telemetry::set_event_log(nullptr);
 
   auto& reg = telemetry::registry();
   const bool ok = reg.write_prometheus(out + "/metrics.prom") &&
                   reg.write_json(out + "/metrics.json") &&
-                  reg.write_csv(out + "/metrics.csv");
-#ifndef PHI_TELEMETRY_OFF
-  bool trace_ok = sink.write_chrome_json(out + "/trace.json") &&
-                  sink.write_jsonl(out + "/trace.jsonl");
-  std::printf("trace events: %zu (%llu dropped)\n", sink.events().size(),
-              static_cast<unsigned long long>(sink.dropped()));
+                  reg.write_csv(out + "/metrics.csv") &&
+                  reg.write_timeseries_csv(out + "/timeseries.csv") &&
+                  log.write_chrome_json(out + "/trace.json") &&
+                  log.write_jsonl(out + "/trace.jsonl");
+  std::printf("trace events: %zu (%zu dropped)\n", log.events().size(),
+              log.dropped());
   if (metrics.capture) {
-    trace_ok = trace_ok &&
-               metrics.capture->spans.write_chrome_json(out + "/spans.json");
-    std::printf("span events: %zu (%zu dropped)\n",
-                metrics.capture->spans.events().size(),
-                metrics.capture->spans.dropped());
     std::printf("\nevent-loop profile:\n%s",
                 metrics.capture->profile.table().c_str());
   }
-  trace_ok = trace_ok && reg.write_timeseries_csv(out + "/timeseries.csv");
   const auto& fr = telemetry::flight();
   std::printf("flight recorder: %llu events recorded, auto-dump %s\n",
               static_cast<unsigned long long>(fr.recorded()),
               fr.last_dump_path().empty() ? "(never fired)"
                                           : fr.last_dump_path().c_str());
-  telemetry::set_tracer(nullptr);
-#else
-  const bool trace_ok = true;
+#ifdef PHI_TELEMETRY_OFF
   std::printf("telemetry compiled out (PHI_TELEMETRY_OFF); metric/trace "
               "artifacts are empty\n");
 #endif
@@ -163,10 +154,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(metrics.connections));
   std::printf("registry instruments: %zu\n", reg.size());
   std::printf("artifacts in %s: metrics.prom metrics.json metrics.csv "
-              "trace.json trace.jsonl spans.json timeseries.csv "
-              "flight_dump.txt\n",
+              "trace.json trace.jsonl timeseries.csv flight_dump.txt\n",
               out.c_str());
-  if (!ok || !trace_ok) {
+  if (!ok) {
     std::fprintf(stderr, "failed writing artifacts to %s\n", out.c_str());
     return 1;
   }
