@@ -43,7 +43,7 @@ inline const char* scale_name(Scale s) {
 
 /// PHI_BENCH_JOBS caps the parallelism of every bench that runs
 /// independent simulations (sweeps, repetitions, trainer evaluations):
-/// unset or 0 = one job per hardware thread, 1 = serial. Results are
+/// unset or 0 = one job per usable CPU, 1 = serial. Results are
 /// bit-identical for any value — the exec::Pool contract — so this knob
 /// only trades wall-clock against the rest of the machine. Non-numeric
 /// or negative values abort loudly rather than silently meaning 0.
@@ -55,7 +55,7 @@ inline int jobs_from_env() {
   if (end == j || *end != '\0' || v < 0 || v > 4096) {
     std::fprintf(stderr,
                  "PHI_BENCH_JOBS='%s' is not a job count; use an integer "
-                 ">= 0 (0 or unset = one job per hardware thread)\n",
+                 ">= 0 (0 or unset = one job per usable CPU)\n",
                  j);
     std::exit(2);
   }

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "exec/gang.hpp"
 #include "flow/bottleneck.hpp"
 #include "flow/heavy_hitters.hpp"
 #include "flow/ipfix.hpp"
@@ -600,6 +601,29 @@ BENCHMARK(BM_ShardedEndToEndPacketTransit)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// The window barrier alone: a gang of n threads runs 10,000 empty
+// phases per iteration, so `per_phase` is what each lookahead window of
+// an n-shard run pays to synchronize when no shard has work.
+void BM_GangBarrierPhase(benchmark::State& state) {
+  constexpr int kPhases = 10000;
+  const auto parties = static_cast<std::size_t>(state.range(0));
+  exec::Gang gang(parties);
+  exec::CyclicBarrier barrier(parties);
+  for (auto _ : state) {
+    gang.run([&](std::size_t) {
+      for (int p = 0; p < kPhases; ++p) barrier.arrive_and_wait();
+    });
+  }
+  state.counters["per_phase"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kPhases,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GangBarrierPhase)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

