@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "phi/presets.hpp"
 #include "phi/sweep.hpp"
 #include "util/table.hpp"
 
@@ -13,19 +14,14 @@ using namespace phi;
 
 namespace {
 
-core::ScenarioConfig workload(bool red, std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 12;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.net.queue = red ? sim::DumbbellConfig::Queue::kRedEcn
-                      : sim::DumbbellConfig::Queue::kDropTail;
-  cfg.ecn = red;
-  cfg.workload.mean_on_bytes = 500e3;
-  cfg.workload.mean_off_s = 2.0;
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
-  return cfg;
+core::ScenarioSpec workload(bool red, std::uint64_t seed) {
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(12);
+  std::get<sim::DumbbellConfig>(spec.topology).queue =
+      red ? sim::DumbbellConfig::Queue::kRedEcn
+          : sim::DumbbellConfig::Queue::kDropTail;
+  spec.ecn = red;
+  spec.seed = seed;
+  return spec;
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "bench_common.hpp"
 #include "phi/client.hpp"
 #include "phi/congestion_manager.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -32,16 +33,12 @@ struct Outcome {
   std::int64_t conns = 0;
 };
 
-core::ScenarioConfig workload(std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 4;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = 120e3;  // short transfers
-  cfg.workload.mean_off_s = 0.4;
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
-  return cfg;
+core::ScenarioSpec workload(std::uint64_t seed) {
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(4);
+  spec.workload.mean_on_bytes = 120e3;  // short transfers
+  spec.workload.mean_off_s = 0.4;
+  spec.seed = seed;
+  return spec;
 }
 
 /// Collects per-connection completion times via an advisor.
@@ -88,7 +85,7 @@ Outcome run_mode(int mode, std::uint64_t seed) {
         return std::make_unique<tcp::Cubic>();
       },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&, sched](std::size_t i)
                    -> std::unique_ptr<tcp::ConnectionAdvisor> {
           auto col = std::make_unique<FctCollector>();

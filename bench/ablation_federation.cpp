@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "phi/client.hpp"
+#include "phi/presets.hpp"
 #include "phi/secure_agg.hpp"
 #include "phi/scenario.hpp"
 #include "util/rng.hpp"
@@ -52,27 +53,24 @@ struct Outcome {
 };
 
 Outcome run_mode(int mode, std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = kProviders * kPerProvider;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = 500e3;
-  cfg.workload.mean_off_s = 2.0;
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
+  core::ScenarioSpec spec =
+      core::presets::paper_dumbbell(kProviders * kPerProvider);
+  spec.seed = seed;
+  const util::Rate capacity =
+      std::get<sim::DumbbellConfig>(spec.topology).bottleneck_rate;
 
   // One context server per provider.
   std::vector<std::unique_ptr<core::ContextServer>> servers;
   for (std::size_t p = 0; p < kProviders; ++p) {
     servers.push_back(std::make_unique<core::ContextServer>());
-    servers.back()->set_path_capacity(kPath, cfg.net.bottleneck_rate);
+    servers.back()->set_path_capacity(kPath, capacity);
     if (mode >= 1) servers.back()->set_recommendations(make_table());
   }
 
   const auto m = core::run_scenario_with_setup(
-      cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
+      spec, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
 
         if (mode == 2) {
           // Federation rounds: secure-aggregate each provider's local

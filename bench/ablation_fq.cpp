@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -19,18 +20,15 @@ using namespace phi;
 
 namespace {
 
-core::ScenarioConfig workload(sim::DumbbellConfig::Queue queue,
-                              std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 8;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.net.queue = queue;
-  cfg.workload.mean_on_bytes = 500e3;
-  cfg.workload.mean_off_s = 2.0;
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
-  return cfg;
+/// Even senders (tuned) report as group 0, odd ones (default) as group 1.
+core::ScenarioSpec workload(sim::DumbbellConfig::Queue queue,
+                            std::uint64_t seed) {
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(8);
+  std::get<sim::DumbbellConfig>(spec.topology).queue = queue;
+  for (std::size_t i = 0; i < 8; ++i)
+    spec.senders.push_back({.endpoint = i, .group = static_cast<int>(i % 2)});
+  spec.seed = seed;
+  return spec;
 }
 
 struct MixedOutcome {
@@ -48,8 +46,7 @@ MixedOutcome run_mixed(sim::DumbbellConfig::Queue queue,
       [tuned](std::size_t i) -> std::unique_ptr<tcp::CongestionControl> {
         return std::make_unique<tcp::Cubic>(i % 2 == 0 ? tuned
                                                        : tcp::CubicParams{});
-      },
-      nullptr, [](std::size_t i) { return static_cast<int>(i % 2); });
+      });
   MixedOutcome out;
   for (const auto& g : m.groups) {
     if (g.group == 0) {

@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 #include "exec/pool.hpp"
 #include "phi/fault_injection.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -24,14 +25,13 @@ namespace {
 
 constexpr core::PathKey kPath = 23;
 
-core::ScenarioConfig base_scenario(std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 8;
-  cfg.workload.mean_on_bytes = 60e3;
-  cfg.workload.mean_off_s = 0.4;
-  cfg.duration = util::seconds(90);
-  cfg.seed = seed;
-  return cfg;
+core::ScenarioSpec base_scenario(std::uint64_t seed) {
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(8);
+  spec.workload.mean_on_bytes = 60e3;
+  spec.workload.mean_off_s = 0.4;
+  spec.duration = util::seconds(90);
+  spec.seed = seed;
+  return spec;
 }
 
 /// Mean |server active-connection count - live ground truth| sampled over
@@ -39,7 +39,7 @@ core::ScenarioConfig base_scenario(std::uint64_t seed) {
 /// (lease=0) accumulates one zombie per crash; leased stays bounded.
 double crash_gap(double crash_rate, util::Duration lease, std::uint64_t seed,
                  std::uint64_t* crashes_out) {
-  const core::ScenarioConfig cfg = base_scenario(seed);
+  const core::ScenarioSpec cfg = base_scenario(seed);
   core::ContextServerConfig scfg;
   scfg.lease = lease;
   std::unique_ptr<core::ContextServer> server;
@@ -50,11 +50,10 @@ double crash_gap(double crash_rate, util::Duration lease, std::uint64_t seed,
   (void)core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<core::ContextServer>(
             scfg, [sched] { return sched->now(); });
-        server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+        server->set_path_capacity(kPath, live.topology->path_link(0).rate());
         core::FaultConfig fc;
         fc.crash = crash_rate;
         // Fault-arrival stream derived from (not correlated with) the
@@ -85,7 +84,7 @@ double crash_gap(double crash_rate, util::Duration lease, std::uint64_t seed,
 /// disables the recently-seen set, so every retry is absorbed twice.
 double dup_utilization(double dup_rate, std::size_t dedup_capacity,
                        std::uint64_t seed) {
-  const core::ScenarioConfig cfg = base_scenario(seed);
+  const core::ScenarioSpec cfg = base_scenario(seed);
   core::ContextServerConfig scfg;
   scfg.dedup_capacity = dedup_capacity;
   std::unique_ptr<core::ContextServer> server;
@@ -96,11 +95,10 @@ double dup_utilization(double dup_rate, std::size_t dedup_capacity,
   (void)core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<core::ContextServer>(
             scfg, [sched] { return sched->now(); });
-        server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+        server->set_path_capacity(kPath, live.topology->path_link(0).rate());
         core::FaultConfig fc;
         fc.duplicate_report = dup_rate;
         fc.seed = util::derive_seed(seed, 1);

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "phi/prediction.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "util/table.hpp"
 
@@ -15,24 +16,22 @@ using namespace phi;
 
 namespace {
 
-core::ScenarioConfig path_scenario(std::size_t pairs, double rate_mbps,
-                                   std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = pairs;
-  cfg.net.bottleneck_rate = rate_mbps * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = 300e3;
-  cfg.workload.mean_off_s = 1.0;
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
-  return cfg;
+core::ScenarioSpec path_scenario(std::size_t pairs, double rate_mbps,
+                                 std::uint64_t seed) {
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(pairs);
+  std::get<sim::DumbbellConfig>(spec.topology).bottleneck_rate =
+      rate_mbps * util::kMbps;
+  spec.workload.mean_on_bytes = 300e3;
+  spec.workload.mean_off_s = 1.0;
+  spec.seed = seed;
+  return spec;
 }
 
 /// Run the scenario and pour every sender's per-connection stats into the
 /// predictor via an advisor; returns the run's aggregate for comparison.
 core::ScenarioMetrics feed(core::PerformancePredictor& pred,
                            core::PathKey path,
-                           const core::ScenarioConfig& cfg) {
+                           const core::ScenarioSpec& cfg) {
   struct FeedAdvisor : tcp::ConnectionAdvisor {
     core::PerformancePredictor* pred;
     core::PathKey path;

@@ -6,9 +6,11 @@
 // background of standard senders.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "phi/coordination.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -17,17 +19,19 @@ using namespace phi;
 
 namespace {
 
-core::ScenarioConfig long_running(std::size_t pairs, std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = pairs;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = 1e13;  // effectively infinite transfers
-  cfg.workload.start_with_off = false;
-  cfg.duration = util::seconds(90);
-  cfg.warmup = util::seconds(10);
-  cfg.seed = seed;
-  return cfg;
+/// One long-running sender per entry of `groups`; sender i reports as
+/// group groups[i].
+core::ScenarioSpec long_running(std::uint64_t seed,
+                                const std::vector<int>& groups) {
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(groups.size());
+  for (std::size_t i = 0; i < groups.size(); ++i)
+    spec.senders.push_back({.endpoint = i, .group = groups[i]});
+  spec.workload.mean_on_bytes = 1e13;  // effectively infinite transfers
+  spec.workload.start_with_off = false;
+  spec.duration = util::seconds(90);
+  spec.warmup = util::seconds(10);
+  spec.seed = seed;
+  return spec;
 }
 
 }  // namespace
@@ -50,12 +54,12 @@ int main() {
   util::RunningStats share[4];
   for (int r = 0; r < runs; ++r) {
     const auto m = core::run_scenario(
-        long_running(4, util::derive_seed(600, static_cast<std::uint64_t>(r))),
+        long_running(util::derive_seed(600, static_cast<std::uint64_t>(r)),
+                     {0, 1, 2, 3}),
         [&](std::size_t i) -> std::unique_ptr<tcp::CongestionControl> {
           return std::make_unique<core::WeightedAimd>(
               alloc[i].increase_gain, alloc[i].decrease_factor);
-        },
-        nullptr, [](std::size_t i) { return static_cast<int>(i); });
+        });
     double total = 0;
     for (const auto& g : m.groups) total += g.throughput_bps;
     for (const auto& g : m.groups)
@@ -77,22 +81,22 @@ int main() {
   // near 50% either way.
   util::RunningStats ensemble_share, control_share;
   for (int r = 0; r < runs; ++r) {
-    const auto seed = util::derive_seed(700, static_cast<std::uint64_t>(r));
+    // The first four senders are the ensemble (group 0).
+    const core::ScenarioSpec spec = long_running(
+        util::derive_seed(700, static_cast<std::uint64_t>(r)),
+        {0, 0, 0, 0, 1, 1, 1, 1});
     const auto mixed = core::run_scenario(
-        long_running(8, seed),
+        spec,
         [&](std::size_t i) -> std::unique_ptr<tcp::CongestionControl> {
           if (i < 4)
             return std::make_unique<core::WeightedAimd>(
                 alloc[i].increase_gain, alloc[i].decrease_factor);
           return std::make_unique<core::WeightedAimd>(1.0, 0.5);
-        },
-        nullptr, [](std::size_t i) { return i < 4 ? 0 : 1; });
+        });
     const auto control = core::run_scenario(
-        long_running(8, seed),
-        [](std::size_t) -> std::unique_ptr<tcp::CongestionControl> {
+        spec, [](std::size_t) -> std::unique_ptr<tcp::CongestionControl> {
           return std::make_unique<core::WeightedAimd>(1.0, 0.5);
-        },
-        nullptr, [](std::size_t i) { return i < 4 ? 0 : 1; });
+        });
     auto group_share = [](const core::ScenarioMetrics& m, int group) {
       double total = 0, g0 = 0;
       for (const auto& g : m.groups) {

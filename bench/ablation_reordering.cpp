@@ -23,17 +23,21 @@ namespace {
 
 constexpr core::PathKey kPath = 3;
 
-core::ScenarioConfig jittery(std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 4;  // light load: drops are rare, reordering is not
-  cfg.net.bottleneck_rate = 30.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(100);
-  cfg.net.bottleneck_jitter = util::milliseconds(12);
-  cfg.workload.mean_on_bytes = 400e3;
-  cfg.workload.mean_off_s = 1.0;
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
-  return cfg;
+/// Every sender reports as group 0, whose retransmit rate is the result.
+core::ScenarioSpec jittery(std::uint64_t seed) {
+  core::ScenarioSpec spec;
+  spec.topology = sim::DumbbellConfig{
+      .pairs = 4,  // light load: drops are rare, reordering is not
+      .bottleneck_rate = 30.0 * util::kMbps,
+      .rtt = util::milliseconds(100),
+      .bottleneck_jitter = util::milliseconds(12)};
+  for (std::size_t i = 0; i < 4; ++i)
+    spec.senders.push_back({.endpoint = i, .group = 0});
+  spec.workload.mean_on_bytes = 400e3;
+  spec.workload.mean_off_s = 1.0;
+  spec.duration = util::seconds(60);
+  spec.seed = seed;
+  return spec;
 }
 
 /// Advisor applying a dup-ACK threshold and recording shared experience.
@@ -74,8 +78,7 @@ RunResult run_with(core::DupAckThresholdAdvisor* shared, int fixed,
         a->shared = shared;
         a->fixed_threshold = fixed;
         return a;
-      },
-      [](std::size_t) { return 0; });
+      });
   RunResult r;
   r.tput = m.throughput_bps;
   r.conns = m.connections;

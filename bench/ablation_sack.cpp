@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "tcp/sender.hpp"
 #include "tcp/sink.hpp"
@@ -28,18 +29,12 @@ struct Row {
 };
 
 Row run_case(bool sack, tcp::CubicParams params, std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 16;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = 500e3;
-  cfg.workload.mean_off_s = 2.0;
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(16);
+  spec.seed = seed;
 
   // SACK needs both ends enabled: use the setup hook to flip the sinks.
   const auto m = core::run_scenario_with_setup(
-      cfg,
+      spec,
       [params](std::size_t) { return std::make_unique<tcp::Cubic>(params); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
         if (sack) {

@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "exec/pool.hpp"
 #include "phi/client.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -31,30 +32,26 @@ struct TrackingError {
 
 TrackingError run_workload(double mean_on_bytes, double mean_off_s,
                            std::uint64_t seed, bool midstream = false) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 8;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = mean_on_bytes;
-  cfg.workload.mean_off_s = mean_off_s;
-  cfg.duration = util::seconds(90);
-  cfg.seed = seed;
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(8);
+  spec.workload.mean_on_bytes = mean_on_bytes;
+  spec.workload.mean_off_s = mean_off_s;
+  spec.duration = util::seconds(90);
+  spec.seed = seed;
 
   core::ContextServer server;
   double se = 0, bias = 0, oracle_sum = 0;
   std::size_t n = 0;
 
   (void)core::run_scenario_with_setup(
-      cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
+      spec, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        server.set_path_capacity(kPath,
-                                 live.dumbbell->config().bottleneck_rate);
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
-        sim::Dumbbell* d = live.dumbbell;
+        server.set_path_capacity(kPath, live.topology->path_link(0).rate());
+        sim::Scheduler* sched = &live.topology->scheduler();
+        const sim::LinkMonitor* monitor = &live.topology->path_monitor(0);
         // Periodic comparison of the two views, skipping warm-up.
         auto sample = std::make_shared<std::function<void()>>();
-        *sample = [&, sched, d, sample] {
-          const double oracle = d->monitor().recent_utilization();
+        *sample = [&, sched, monitor, sample] {
+          const double oracle = monitor->recent_utilization();
           const double est = server.context(kPath).utilization;
           const double err = est - oracle;
           se += err * err;

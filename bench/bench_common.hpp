@@ -16,6 +16,7 @@
 
 #include "telemetry/telemetry.hpp"
 #include "util/table.hpp"
+#include "util/units.hpp"
 
 namespace phi::bench {
 
@@ -60,6 +61,18 @@ inline int jobs_from_env() {
     std::exit(2);
   }
   return static_cast<int>(v);
+}
+
+/// Parses the whole of `s` as seconds > 0 that fit a util::Duration.
+/// Trailing characters ("0.1x"), nan and inf all fail.
+inline bool parse_seconds(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(v > 0) ||
+      !(v * static_cast<double>(util::kSecond) < 0x1p63))
+    return false;
+  out = v;
+  return true;
 }
 
 /// Directory for CSV artifacts; PHI_BENCH_OUT overrides, empty disables.

@@ -30,16 +30,18 @@ struct MixedResult {
   core::ScenarioMetrics all;
 };
 
-MixedResult run_mixed(const core::ScenarioSpec& cfg,
-                      tcp::CubicParams tuned) {
-  // Even sender indices are modified, odd keep defaults.
+MixedResult run_mixed(core::ScenarioSpec cfg, tcp::CubicParams tuned) {
+  // Even sender indices are modified (group 0), odd keep defaults
+  // (group 1).
+  const std::size_t pairs = sim::endpoint_count(cfg.topology);
+  for (std::size_t i = 0; i < pairs; ++i)
+    cfg.senders.push_back({.endpoint = i, .group = static_cast<int>(i % 2)});
   auto metrics = core::run_scenario(
       cfg,
       [tuned](std::size_t i) -> std::unique_ptr<tcp::CongestionControl> {
         return std::make_unique<tcp::Cubic>(i % 2 == 0 ? tuned
                                                        : tcp::CubicParams{});
-      },
-      nullptr, [](std::size_t i) { return static_cast<int>(i % 2); });
+      });
   MixedResult out;
   out.all = metrics;
   for (const auto& g : metrics.groups) {

@@ -14,6 +14,7 @@
 #include "flow/heavy_hitters.hpp"
 #include "flow/ipfix.hpp"
 #include "phi/context_server.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "phi/secure_agg.hpp"
 #include "remy/remycc.hpp"
@@ -558,13 +559,12 @@ BENCHMARK(BM_SpaceSavingAdd);
 
 void BM_MiniScenario(benchmark::State& state) {
   for (auto _ : state) {
-    core::ScenarioConfig cfg;
-    cfg.net.pairs = 4;
-    cfg.workload.mean_on_bytes = 100e3;
-    cfg.workload.mean_off_s = 0.5;
-    cfg.duration = util::seconds(10);
+    core::ScenarioSpec spec = core::presets::paper_dumbbell(4);
+    spec.workload.mean_on_bytes = 100e3;
+    spec.workload.mean_off_s = 0.5;
+    spec.duration = util::seconds(10);
     benchmark::DoNotOptimize(
-        core::run_cubic_scenario(cfg, tcp::CubicParams{}));
+        core::run_cubic_scenario(spec, tcp::CubicParams{}));
   }
 }
 BENCHMARK(BM_MiniScenario)->Unit(benchmark::kMillisecond);

@@ -20,6 +20,7 @@
 
 #include "bench_common.hpp"
 #include "exec/pool.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "remy/trainer.hpp"
 #include "tcp/pcc.hpp"
@@ -30,21 +31,20 @@ using namespace phi;
 
 namespace {
 
-core::ScenarioConfig table3_scenario() {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 8;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = 100e3;
-  cfg.workload.mean_off_s = 0.5;
-  cfg.duration = util::seconds(60);
-  cfg.seed = 9100;  // held out from training seeds
-  return cfg;
+/// Every sender reports as its own group: the rows are medians over
+/// senders.
+core::ScenarioSpec table3_scenario() {
+  core::ScenarioSpec spec = core::presets::paper_dumbbell(8);
+  for (std::size_t i = 0; i < 8; ++i)
+    spec.senders.push_back({.endpoint = i, .group = static_cast<int>(i)});
+  spec.workload.mean_on_bytes = 100e3;
+  spec.workload.mean_off_s = 0.5;
+  spec.seed = 9100;  // held out from training seeds
+  return spec;
 }
 
-/// A hard-coded policy's row, measured identically (per-sender groups,
-/// same scenario).
-remy::EvalResult score_policy(const core::ScenarioConfig& scenario,
+/// A hard-coded policy's row, measured identically (same scenario).
+remy::EvalResult score_policy(const core::ScenarioSpec& scenario,
                               int runs, const core::PolicyFactory& make) {
   util::Samples tputs, qdelays, logps;
   std::vector<int> reps(static_cast<std::size_t>(runs));
@@ -52,12 +52,10 @@ remy::EvalResult score_policy(const core::ScenarioConfig& scenario,
   const auto metrics = exec::parallel_map(
       reps,
       [&](int r) {
-        core::ScenarioConfig cfg = scenario;
+        core::ScenarioSpec cfg = scenario;
         cfg.seed = util::derive_seed(scenario.seed,
                                      static_cast<std::uint64_t>(r));
-        return core::run_scenario(
-            cfg, make, nullptr,
-            [](std::size_t i) { return static_cast<int>(i); });
+        return core::run_scenario(cfg, make);
       },
       bench::jobs_from_env());
   for (const auto& m : metrics) {
@@ -143,7 +141,7 @@ int main() {
       "Remy-Phi (with bottleneck utilization)", "remy_phi.tree",
       phi_trainer);
 
-  const core::ScenarioConfig scenario = table3_scenario();
+  const core::ScenarioSpec scenario = table3_scenario();
   std::printf("\nscoring on held-out seeds (%d runs each)...\n", eval_runs);
   const int jobs = bench::jobs_from_env();
   const auto practical = remy::Trainer::score_tree(

@@ -18,17 +18,20 @@ using namespace phi;
 
 namespace {
 
-core::ScenarioConfig shared_bottleneck(std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 4;
-  cfg.net.bottleneck_rate = 20.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(100);
-  cfg.workload.mean_on_bytes = 1e13;  // long-running flows
-  cfg.workload.start_with_off = false;
-  cfg.duration = util::seconds(90);
-  cfg.warmup = util::seconds(10);
-  cfg.seed = seed;
-  return cfg;
+/// Four long-running flows; flow i reports as group i.
+core::ScenarioSpec shared_bottleneck(std::uint64_t seed) {
+  core::ScenarioSpec spec;
+  spec.topology = sim::DumbbellConfig{.pairs = 4,
+                                      .bottleneck_rate = 20.0 * util::kMbps,
+                                      .rtt = util::milliseconds(100)};
+  for (std::size_t i = 0; i < 4; ++i)
+    spec.senders.push_back({.endpoint = i, .group = static_cast<int>(i)});
+  spec.workload.mean_on_bytes = 1e13;  // long-running flows
+  spec.workload.start_with_off = false;
+  spec.duration = util::seconds(90);
+  spec.warmup = util::seconds(10);
+  spec.seed = seed;
+  return spec;
 }
 
 void print_shares(const char* title, const core::ScenarioMetrics& m,
@@ -54,8 +57,7 @@ int main() {
       shared_bottleneck(5),
       [](std::size_t) {
         return std::make_unique<core::WeightedAimd>(1.0, 0.5);
-      },
-      nullptr, [](std::size_t i) { return static_cast<int>(i); });
+      });
   print_shares("autonomous (everyone equal):", equal, names);
 
   // --- Phi: weights 4:2:1:1, ensemble kept TCP-friendly ---
@@ -73,8 +75,7 @@ int main() {
       [&](std::size_t i) {
         return std::make_unique<core::WeightedAimd>(
             alloc[i].increase_gain, alloc[i].decrease_factor);
-      },
-      nullptr, [](std::size_t i) { return static_cast<int>(i); });
+      });
   std::printf("\n");
   print_shares("Phi-coordinated (4:2:1:1):", weighted, names);
 

@@ -12,20 +12,18 @@
 #include <memory>
 
 #include "phi/client.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 
 using namespace phi;
 
 int main() {
   // --- the Figure-1 network and the paper's on/off workload ---
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = 8;                               // 8 sender/receiver pairs
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;    // shared bottleneck
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = 500e3;              // exp(500 KB) transfers
-  cfg.workload.mean_off_s = 2.0;                   // exp(2 s) idle gaps
-  cfg.duration = util::seconds(60);
-  cfg.seed = 1;
+  // 8 sender/receiver pairs across a 15 Mbps, 150 ms-RTT bottleneck, each
+  // alternating exp(500 KB) transfers with exp(2 s) idle gaps, for 60 s.
+  const core::ScenarioSpec cfg = core::presets::paper_dumbbell(8);
+  const util::Rate capacity =
+      std::get<sim::DumbbellConfig>(cfg.topology).bottleneck_rate;
 
   // --- status quo: every sender autonomous, default Cubic ---
   const auto before = core::run_cubic_scenario(cfg, tcp::CubicParams{});
@@ -37,7 +35,7 @@ int main() {
   // --- the Phi way: a context server with a recommendation table ---
   const core::PathKey kPath = 1;  // "the /24 this workload targets"
   core::ContextServer server;
-  server.set_path_capacity(kPath, cfg.net.bottleneck_rate);
+  server.set_path_capacity(kPath, capacity);
 
   // In production the table comes from offline sweeps (see
   // bench/fig2_cubic_sweep); here we install the known-good setting for
@@ -51,7 +49,7 @@ int main() {
   const auto after = core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&server, sched, kPath](std::size_t i)
                    -> std::unique_ptr<tcp::ConnectionAdvisor> {
           return std::make_unique<core::PhiCubicAdvisor>(

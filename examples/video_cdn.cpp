@@ -21,17 +21,17 @@ using namespace phi;
 
 namespace {
 
-core::ScenarioConfig metro_workload(std::size_t viewers,
-                                    std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.net.pairs = viewers;
-  cfg.net.bottleneck_rate = 25.0 * util::kMbps;  // egress to this metro
-  cfg.net.rtt = util::milliseconds(80);
-  cfg.workload.mean_on_bytes = 2e6;  // ~2 MB video segments
-  cfg.workload.mean_off_s = 4.0;     // player buffer drain time
-  cfg.duration = util::seconds(60);
-  cfg.seed = seed;
-  return cfg;
+core::ScenarioSpec metro_workload(std::size_t viewers, std::uint64_t seed) {
+  core::ScenarioSpec spec;
+  spec.topology = sim::DumbbellConfig{
+      .pairs = viewers,
+      .bottleneck_rate = 25.0 * util::kMbps,  // egress to this metro
+      .rtt = util::milliseconds(80)};
+  spec.workload.mean_on_bytes = 2e6;  // ~2 MB video segments
+  spec.workload.mean_off_s = 4.0;     // player buffer drain time
+  spec.duration = util::seconds(60);
+  spec.seed = seed;
+  return spec;
 }
 
 }  // namespace
@@ -86,7 +86,7 @@ int main() {
   const auto metrics = core::run_scenario_with_setup(
       peak, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&, sched](std::size_t i) {
           return std::make_unique<CdnAdvisor>(
               server, kMetro, i, [sched] { return sched->now(); },

@@ -26,18 +26,16 @@ ChurnMetrics aggregate_churn(
   m.enabled = true;
   m.offered = arrivals.size();
 
-  util::RunningStats rtt;
-  double bits = 0;
+  tcp::ConnTotals measured;
   for (const auto& slot : slots) {
     m.started += slot->started();
     m.completed += slot->completed();
-    bits += slot->measured_bits();
-    rtt.merge(slot->measured_rtt());
-    m.retransmits += slot->measured_retransmits();
-    m.timeouts += slot->measured_timeouts();
+    measured.merge(slot->measured());
   }
-  m.mean_rtt_s = rtt.mean();
-  m.goodput_bps = duration_s > 0 ? bits / duration_s : 0.0;
+  m.mean_rtt_s = measured.rtt.mean();
+  m.goodput_bps = duration_s > 0 ? measured.bits / duration_s : 0.0;
+  m.retransmits = measured.retransmits;
+  m.timeouts = measured.timeouts;
 
   std::vector<double> fct;
   fct.reserve(arrivals.size());

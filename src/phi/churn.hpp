@@ -29,7 +29,6 @@
 #include "sim/event.hpp"
 #include "tcp/app.hpp"
 #include "tcp/sender.hpp"
-#include "util/stats.hpp"
 #include "util/units.hpp"
 
 namespace phi::core {
@@ -101,17 +100,9 @@ class ChurnSlot {
   std::size_t started() const noexcept { return started_; }
   std::size_t completed() const noexcept { return completed_; }
 
-  // Aggregates over completed sessions that arrived at/after
-  // `measure_from` (bits include retransmitted-then-acked segments once,
-  // mirroring OnOffApp's completed-connection accounting).
-  std::size_t measured_completed() const noexcept { return measured_; }
-  double measured_bits() const noexcept { return measured_bits_; }
-  /// Sum of measured flow-completion times — the churn analogue of
-  /// on-time for goodput weighting.
-  double measured_fct_sum_s() const noexcept { return measured_fct_s_; }
-  const util::RunningStats& measured_rtt() const noexcept { return rtt_; }
-  std::uint64_t measured_retransmits() const noexcept { return retx_; }
-  std::uint64_t measured_timeouts() const noexcept { return timeouts_; }
+  /// Aggregates over completed sessions that arrived at/after
+  /// `measure_from`; each session's on-time is its flow-completion time.
+  const tcp::ConnTotals& measured() const noexcept { return measured_; }
 
  private:
   void arm_next() {
@@ -141,14 +132,7 @@ class ChurnSlot {
     const double fct = util::to_seconds(sched_->now() - e.at);
     fct_s_[e.index] = fct;
     ++completed_;
-    if (e.at >= measure_from_) {
-      ++measured_;
-      measured_bits_ += static_cast<double>(s.segments) * sim::kDefaultMss * 8.0;
-      measured_fct_s_ += fct;
-      if (s.rtt_samples > 0) rtt_.add(s.mean_rtt_s);
-      retx_ += s.retransmits;
-      timeouts_ += s.timeouts;
-    }
+    if (e.at >= measure_from_) measured_.absorb(s, fct);
     if (advisor_ != nullptr) advisor_->after_connection(s, *sender_);
     ++cursor_;
     arm_next();
@@ -164,12 +148,7 @@ class ChurnSlot {
   std::size_t cursor_ = 0;
   std::size_t started_ = 0;
   std::size_t completed_ = 0;
-  std::size_t measured_ = 0;
-  double measured_bits_ = 0;
-  double measured_fct_s_ = 0;
-  util::RunningStats rtt_;
-  std::uint64_t retx_ = 0;
-  std::uint64_t timeouts_ = 0;
+  tcp::ConnTotals measured_;
 };
 
 /// Churn results for one run. FCT percentiles are over completed

@@ -1,5 +1,6 @@
 #include "phi/presets.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 namespace phi::core::presets {
@@ -198,20 +199,34 @@ bool fail(std::string* err, const std::string& msg) {
   return false;
 }
 
+// Finite numbers only: nan and inf fail like any other malformed value.
 bool parse_double(const std::string& v, double* out) {
   char* end = nullptr;
   const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') return false;
+  if (end == v.c_str() || *end != '\0' || !std::isfinite(d)) return false;
   *out = d;
   return true;
 }
 
-bool parse_size(const std::string& v, std::size_t* out) {
+// Whole numbers in [0, 2^64), the range a double converts to
+// std::uint64_t exactly.
+bool parse_whole(const std::string& v, std::uint64_t* out) {
   double d = 0;
-  if (!parse_double(v, &d) || d < 0 || d != static_cast<double>(
-                                            static_cast<std::size_t>(d)))
+  if (!parse_double(v, &d) || d < 0 || d >= 0x1p64 || d != std::floor(d))
     return false;
-  *out = static_cast<std::size_t>(d);
+  *out = static_cast<std::uint64_t>(d);
+  return true;
+}
+
+// `v` counted in `unit` (e.g. kMillisecond), converted in double so
+// fractions survive; fails unless the product fits a Duration.
+bool parse_duration(const std::string& v, util::Duration unit,
+                    util::Duration* out) {
+  double d = 0;
+  if (!parse_double(v, &d)) return false;
+  const double ns = d * static_cast<double>(unit);
+  if (!(std::fabs(ns) < 0x1p63)) return false;
+  *out = static_cast<util::Duration>(ns);
   return true;
 }
 
@@ -262,26 +277,27 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
   const std::string val = assignment.substr(eq + 1);
 
   double d = 0;
-  std::size_t z = 0;
+  std::uint64_t z = 0;
+  util::Duration t = 0;
   bool b = false;
 
   // Scenario-wide keys.
   if (key == "seed") {
-    if (!parse_double(val, &d) || d < 0)
-      return fail(err, "seed wants a non-negative number, got '" + val + "'");
-    spec.seed = static_cast<std::uint64_t>(d);
+    if (!parse_whole(val, &z))
+      return fail(err, "seed wants an integer >= 0, got '" + val + "'");
+    spec.seed = z;
     return true;
   }
   if (key == "duration_s") {
-    if (!parse_double(val, &d) || d <= 0)
+    if (!parse_duration(val, util::kSecond, &t) || t <= 0)
       return fail(err, "duration_s wants seconds > 0, got '" + val + "'");
-    spec.duration = util::from_seconds(d);
+    spec.duration = t;
     return true;
   }
   if (key == "warmup_s") {
-    if (!parse_double(val, &d) || d < 0)
+    if (!parse_duration(val, util::kSecond, &t) || t < 0)
       return fail(err, "warmup_s wants seconds >= 0, got '" + val + "'");
-    spec.warmup = util::from_seconds(d);
+    spec.warmup = t;
     return true;
   }
   if (key == "ecn") {
@@ -345,14 +361,14 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
     return true;
   }
   if (key == "churn_slots") {
-    if (!parse_size(val, &z) || z == 0)
+    if (!parse_whole(val, &z) || z == 0)
       return fail(err,
                   "churn_slots wants an integer >= 1, got '" + val + "'");
     spec.churn.slots_per_endpoint = z;
     return true;
   }
   if (key == "churn_cap") {
-    if (!parse_size(val, &z))
+    if (!parse_whole(val, &z))
       return fail(err, "churn_cap wants an integer >= 0, got '" + val + "'");
     spec.churn.max_sessions = z;
     return true;
@@ -372,7 +388,7 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
 
   if (auto* dumb = std::get_if<sim::DumbbellConfig>(&spec.topology)) {
     if (key == "pairs") {
-      if (!parse_size(val, &z) || z == 0)
+      if (!parse_whole(val, &z) || z == 0)
         return fail(err, "pairs wants an integer >= 1, got '" + val + "'");
       dumb->pairs = z;
       return true;
@@ -384,9 +400,9 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
       return true;
     }
     if (key == "rtt_ms") {
-      if (!parse_double(val, &d) || d <= 0)
+      if (!parse_duration(val, util::kMillisecond, &t) || t <= 0)
         return fail(err, "rtt_ms wants ms > 0, got '" + val + "'");
-      dumb->rtt = util::milliseconds(d);
+      dumb->rtt = t;
       return true;
     }
     if (key == "queue") {
@@ -401,9 +417,9 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
       return true;
     }
     if (key == "jitter_ms") {
-      if (!parse_double(val, &d) || d < 0)
+      if (!parse_duration(val, util::kMillisecond, &t) || t < 0)
         return fail(err, "jitter_ms wants ms >= 0, got '" + val + "'");
-      dumb->bottleneck_jitter = util::milliseconds(d);
+      dumb->bottleneck_jitter = t;
       return true;
     }
     if (key == "buffer_bdp") {
@@ -417,20 +433,20 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
   if (auto* lotp = std::get_if<sim::ParkingLotConfig>(&spec.topology)) {
     auto& lot = *lotp;
     if (key == "hops") {
-      if (!parse_size(val, &z) || z == 0)
+      if (!parse_whole(val, &z) || z == 0)
         return fail(err, "hops wants an integer >= 1, got '" + val + "'");
       lot.hops = z;
       return true;
     }
     if (key == "cross_per_hop") {
-      if (!parse_size(val, &z))
+      if (!parse_whole(val, &z))
         return fail(err,
                     "cross_per_hop wants an integer >= 0, got '" + val + "'");
       lot.cross_per_hop = z;
       return true;
     }
     if (key == "long_flows") {
-      if (!parse_size(val, &z))
+      if (!parse_whole(val, &z))
         return fail(err, "long_flows wants an integer >= 0, got '" + val + "'");
       lot.long_flows = z;
       return true;
@@ -442,9 +458,9 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
       return true;
     }
     if (key == "hop_delay_ms") {
-      if (!parse_double(val, &d) || d <= 0)
+      if (!parse_duration(val, util::kMillisecond, &t) || t <= 0)
         return fail(err, "hop_delay_ms wants ms > 0, got '" + val + "'");
-      lot.hop_delay = util::milliseconds(d);
+      lot.hop_delay = t;
       return true;
     }
     if (key == "buffer_bdp") {
@@ -457,7 +473,7 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
   }
   if (auto* ft = std::get_if<sim::FatTreeConfig>(&spec.topology)) {
     if (key == "k") {
-      if (!parse_size(val, &z) || z < 2 || z % 2 != 0)
+      if (!parse_whole(val, &z) || z < 2 || z % 2 != 0)
         return fail(err, "k wants an even integer >= 2, got '" + val + "'");
       ft->k = z;
       return true;
@@ -484,9 +500,9 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
       return true;
     }
     if (key == "core_delay_ms") {
-      if (!parse_double(val, &d) || d <= 0)
+      if (!parse_duration(val, util::kMillisecond, &t) || t <= 0)
         return fail(err, "core_delay_ms wants ms > 0, got '" + val + "'");
-      ft->core_delay = util::milliseconds(d);
+      ft->core_delay = t;
       return true;
     }
     if (key == "buffer_bdp") {
@@ -499,29 +515,28 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
   }
   auto& wan = std::get<sim::WanGraphConfig>(spec.topology);
   if (key == "sites") {
-    if (!parse_size(val, &z) || z < 3)
+    if (!parse_whole(val, &z) || z < 3)
       return fail(err, "sites wants an integer >= 3, got '" + val + "'");
     wan.sites = z;
     return true;
   }
   if (key == "hosts_per_site") {
-    if (!parse_size(val, &z) || z == 0)
+    if (!parse_whole(val, &z) || z == 0)
       return fail(err,
                   "hosts_per_site wants an integer >= 1, got '" + val + "'");
     wan.hosts_per_site = z;
     return true;
   }
   if (key == "chords") {
-    if (!parse_size(val, &z))
+    if (!parse_whole(val, &z))
       return fail(err, "chords wants an integer >= 0, got '" + val + "'");
     wan.extra_chords = z;
     return true;
   }
   if (key == "wan_seed") {
-    if (!parse_double(val, &d) || d < 0)
-      return fail(err,
-                  "wan_seed wants a non-negative number, got '" + val + "'");
-    wan.seed = static_cast<std::uint64_t>(d);
+    if (!parse_whole(val, &z))
+      return fail(err, "wan_seed wants an integer >= 0, got '" + val + "'");
+    wan.seed = z;
     return true;
   }
   if (key == "min_rate_mbps") {
@@ -537,15 +552,15 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
     return true;
   }
   if (key == "min_delay_ms") {
-    if (!parse_double(val, &d) || d <= 0)
+    if (!parse_duration(val, util::kMillisecond, &t) || t <= 0)
       return fail(err, "min_delay_ms wants ms > 0, got '" + val + "'");
-    wan.min_delay = util::milliseconds(d);
+    wan.min_delay = t;
     return true;
   }
   if (key == "max_delay_ms") {
-    if (!parse_double(val, &d) || d <= 0)
+    if (!parse_duration(val, util::kMillisecond, &t) || t <= 0)
       return fail(err, "max_delay_ms wants ms > 0, got '" + val + "'");
-    wan.max_delay = util::milliseconds(d);
+    wan.max_delay = t;
     return true;
   }
   if (key == "buffer_bdp") {

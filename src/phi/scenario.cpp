@@ -16,12 +16,8 @@ namespace phi::core {
 namespace {
 
 struct GroupAccum {
-  double bits = 0;
-  double on_time_s = 0;
+  tcp::ConnTotals totals;
   double rtt_weighted = 0;
-  std::uint64_t rtx = 0;
-  std::uint64_t pkts = 0;
-  std::int64_t conns = 0;
   double live_bits = 0;   ///< ACKed bytes of still-running connections
   util::RunningStats srtt;
 };
@@ -106,35 +102,11 @@ struct LogGuard {
   bool active_ = false;
 };
 
-/// Completed-connection accounting for bulk senders, mirroring
-/// OnOffApp's aggregates so metrics read the same for either traffic
-/// shape.
-struct BulkAccum {
-  std::int64_t completed = 0;
-  double on_time_s = 0;
-  double bits = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t timeouts = 0;
-  util::RunningStats rtt;
-
-  void absorb(const tcp::ConnStats& s) {
-    ++completed;
-    on_time_s += s.duration_s();
-    bits += static_cast<double>(s.segments) * sim::kDefaultMss * 8.0;
-    retransmits += s.retransmits;
-    packets += s.packets_sent;
-    timeouts += s.timeouts;
-    if (s.rtt_samples > 0) rtt.add(s.mean_rtt_s);
-  }
-};
-
 }  // namespace
 
 ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
                                         PolicyFactory policy,
-                                        const SetupHook& setup,
-                                        GroupFn groups) {
+                                        const SetupHook& setup) {
   std::unique_ptr<sim::Topology> topo = sim::make_topology(spec.topology);
   sim::Topology& t = *topo;
 
@@ -211,21 +183,37 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
   }
   const std::size_t n = sspecs->size();
 
-  // Without an explicit GroupFn, SenderSpec group assignments (if any)
-  // drive group accounting.
-  bool spec_groups = false;
-  for (const SenderSpec& ss : *sspecs) spec_groups |= ss.group >= 0;
-  auto group_of = [&](std::size_t i) -> int {
-    if (groups) return groups(i);
-    return spec_groups ? (*sspecs)[i].group : -1;
+  // One sender/sink pair per static sender and per churn slot. Each
+  // agent schedules on (and resolves instruments in) the shard that owns
+  // its node: the sender, and the policy it is built with, on the
+  // transmit side; the sink on the receive side. Serial runs use the one
+  // scheduler and the current registry.
+  const auto sched_of = [&](const sim::Node& node) -> sim::Scheduler& {
+    return srun ? srun->scheduler_of(node.id()) : t.scheduler();
+  };
+  const auto attach = [&](const sim::Topology::Endpoint& ep, sim::FlowId flow,
+                          std::size_t i,
+                          std::vector<std::unique_ptr<tcp::TcpSender>>& tx,
+                          std::vector<std::unique_ptr<tcp::TcpSink>>& rx) {
+    {
+      std::optional<telemetry::ScopedRegistry> scope;
+      if (srun)
+        scope.emplace(srun->registry_of(srun->shard_of(ep.tx->id())));
+      tx.push_back(std::make_unique<tcp::TcpSender>(
+          sched_of(*ep.tx), *ep.tx, ep.rx->id(), flow, policy(i)));
+      if (spec.ecn) tx.back()->set_ecn(true);
+    }
+    std::optional<telemetry::ScopedRegistry> scope;
+    if (srun) scope.emplace(srun->registry_of(srun->shard_of(ep.rx->id())));
+    rx.push_back(
+        std::make_unique<tcp::TcpSink>(sched_of(*ep.rx), *ep.rx, flow));
   };
 
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
   std::vector<std::unique_ptr<tcp::TcpSink>> sinks;
   std::vector<std::unique_ptr<tcp::OnOffApp>> apps;  ///< null for bulk
+  std::vector<tcp::ConnTotals> bulk(n);  ///< bulk senders' tallies
   std::vector<std::unique_ptr<tcp::ConnectionAdvisor>> advisors;
-  std::vector<BulkAccum> bulk(n);
-  std::vector<sim::FlowId> flows(n, 0);
   senders.reserve(n);
   sinks.reserve(n);
   apps.reserve(n);
@@ -234,41 +222,14 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
   for (std::size_t i = 0; i < n; ++i) {
     const SenderSpec& ss = (*sspecs)[i];
     const sim::Topology::Endpoint ep = t.endpoint(ss.endpoint);
-    const sim::FlowId flow = ss.flow != 0 ? ss.flow : 1000 + i;
-    flows[i] = flow;
-    // Each agent schedules on (and resolves instruments in) the shard
-    // that owns its node: the sender and its app on the transmit side,
-    // the sink on the receive side. Serial runs use the one scheduler
-    // and the current registry, exactly as before.
-    sim::Scheduler& tx_sched =
-        srun ? srun->scheduler_of(ep.tx->id()) : t.scheduler();
-    sim::Scheduler& rx_sched =
-        srun ? srun->scheduler_of(ep.rx->id()) : t.scheduler();
-    {
-      std::optional<telemetry::ScopedRegistry> scope;
-      if (srun)
-        scope.emplace(srun->registry_of(srun->shard_of(ep.tx->id())));
-      senders.push_back(std::make_unique<tcp::TcpSender>(
-          tx_sched, *ep.tx, ep.rx->id(), flow, policy(i)));
-      if (spec.ecn) senders.back()->set_ecn(true);
-    }
-    {
-      std::optional<telemetry::ScopedRegistry> scope;
-      if (srun)
-        scope.emplace(srun->registry_of(srun->shard_of(ep.rx->id())));
-      sinks.push_back(
-          std::make_unique<tcp::TcpSink>(rx_sched, *ep.rx, flow));
-    }
-    if (ss.bulk_segments > 0) {
-      apps.push_back(nullptr);  // started below, in population order
-    } else {
-      std::optional<telemetry::ScopedRegistry> scope;
-      if (srun)
-        scope.emplace(srun->registry_of(srun->shard_of(ep.tx->id())));
-      apps.push_back(std::make_unique<tcp::OnOffApp>(
-          tx_sched, *senders.back(),
-          ss.workload ? *ss.workload : spec.workload, seeder()));
-    }
+    attach(ep, ss.flow != 0 ? ss.flow : 1000 + i, i, senders, sinks);
+    // Bulk senders start below, in population order, and draw no seed.
+    apps.push_back(ss.bulk_segments > 0
+                       ? nullptr
+                       : std::make_unique<tcp::OnOffApp>(
+                             sched_of(*ep.tx), *senders.back(),
+                             ss.workload ? *ss.workload : spec.workload,
+                             seeder()));
   }
 
   // Open-loop churn: pregenerate the whole session trace on the main
@@ -322,30 +283,11 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
       if (per_slot[slot].empty()) continue;
       const std::size_t ep_idx = slot / spe;
       const sim::Topology::Endpoint ep = t.endpoint(ep_idx);
-      const sim::FlowId flow = next_flow++;
-      sim::Scheduler& tx_sched =
-          srun ? srun->scheduler_of(ep.tx->id()) : t.scheduler();
-      sim::Scheduler& rx_sched =
-          srun ? srun->scheduler_of(ep.rx->id()) : t.scheduler();
-      {
-        std::optional<telemetry::ScopedRegistry> scope;
-        if (srun)
-          scope.emplace(srun->registry_of(srun->shard_of(ep.tx->id())));
-        churn_senders.push_back(std::make_unique<tcp::TcpSender>(
-            tx_sched, *ep.tx, ep.rx->id(), flow,
-            policy(n + churn_slots.size())));
-        if (spec.ecn) churn_senders.back()->set_ecn(true);
-      }
-      {
-        std::optional<telemetry::ScopedRegistry> scope;
-        if (srun)
-          scope.emplace(srun->registry_of(srun->shard_of(ep.rx->id())));
-        churn_sinks.push_back(
-            std::make_unique<tcp::TcpSink>(rx_sched, *ep.rx, flow));
-      }
+      attach(ep, next_flow++, n + churn_slots.size(), churn_senders,
+             churn_sinks);
       auto cs = std::make_unique<ChurnSlot>();
       for (const ChurnSlot::Entry& e : per_slot[slot]) cs->add(e);
-      cs->bind(tx_sched, *churn_senders.back(), churn_fct.data(),
+      cs->bind(sched_of(*ep.tx), *churn_senders.back(), churn_fct.data(),
                churn_wait.data(), spec.warmup);
       churn_slot_endpoint.push_back(ep_idx);
       churn_slots.push_back(std::move(cs));
@@ -362,8 +304,6 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
 
   LiveScenario live;
   live.topology = &t;
-  live.dumbbell = dynamic_cast<sim::Dumbbell*>(&t);
-  live.parking_lot = dynamic_cast<sim::ParkingLot*>(&t);
   live.spec = &spec;
   for (auto& s : senders) live.senders.push_back(s.get());
   for (auto& s : sinks) live.sinks.push_back(s.get());
@@ -415,10 +355,10 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
     if (apps[i]) {
       apps[i]->start();
     } else {
-      BulkAccum* acc = &bulk[i];
+      tcp::ConnTotals* tot = &bulk[i];
       senders[i]->start_connection(
           (*sspecs)[i].bulk_segments,
-          [acc](const tcp::ConnStats& s) { acc->absorb(s); });
+          [tot](const tcp::ConnStats& s) { tot->absorb(s, s.duration_s()); });
     }
   }
   for (auto& cs : churn_slots) cs->start();
@@ -440,7 +380,7 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
     }
     for (auto& a : apps)
       if (a) a->reset_aggregates();
-    for (auto& b : bulk) b = BulkAccum{};
+    for (auto& b : bulk) b = {};
     for (std::size_t i = 0; i < n; ++i)
       acked_at_warmup[i] = senders[i]->lifetime_acked_segments();
   }
@@ -464,70 +404,38 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
       m.per_shard.push_back(
           {srun->executed_events(sh), srun->boundary_in(sh)});
   }
-  double bits = 0, on_time = 0;
-  util::RunningStats rtt;
-  double min_rtt = 0;
-  bool have_min = false;
+  tcp::ConnTotals all;  ///< static senders, then measured churn sessions
   std::map<int, GroupAccum> gacc;
   m.per_sender.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const bool is_bulk = apps[i] == nullptr;
-    const double a_bits = is_bulk ? bulk[i].bits : apps[i]->total_bits();
-    const double a_on =
-        is_bulk ? bulk[i].on_time_s : apps[i]->total_on_time_s();
-    const std::int64_t a_conns =
-        is_bulk ? bulk[i].completed : apps[i]->connections_completed();
-    const std::uint64_t a_rtx =
-        is_bulk ? bulk[i].retransmits : apps[i]->total_retransmits();
-    const std::uint64_t a_pkts =
-        is_bulk ? bulk[i].packets : apps[i]->total_packets_sent();
-    const std::uint64_t a_timeouts =
-        is_bulk ? bulk[i].timeouts : apps[i]->total_timeouts();
-    const util::RunningStats& a_rtt =
-        is_bulk ? bulk[i].rtt : apps[i]->rtt_stats();
-
-    bits += a_bits;
-    on_time += a_on;
-    m.connections += a_conns;
-    m.timeouts += a_timeouts;
-    rtt.merge(a_rtt);
-    if (a_rtt.count() > 0) {
-      const double mn = a_rtt.min();
-      if (!have_min || mn < min_rtt) {
-        min_rtt = mn;
-        have_min = true;
-      }
-    }
+    const tcp::ConnTotals& a = apps[i] ? apps[i]->totals() : bulk[i];
+    const tcp::TcpSender& sender = *senders[i];
+    all.merge(a);
 
     SenderMetrics sm;
     sm.endpoint = (*sspecs)[i].endpoint;
-    sm.flow = flows[i];
-    sm.group = group_of(i);
-    sm.bits = a_bits;
-    sm.on_time_s = a_on;
-    sm.connections = a_conns;
-    sm.rtt_mean_s = a_rtt.mean();
-    sm.rtt_count = static_cast<std::int64_t>(a_rtt.count());
-    sm.rtt_min_s = a_rtt.count() > 0 ? a_rtt.min() : 0.0;
-    sm.retransmits = a_rtx;
-    sm.packets_sent = a_pkts;
-    sm.timeouts = a_timeouts;
-    sm.live_bits = static_cast<double>(senders[i]->lifetime_acked_segments() -
+    sm.flow = sender.flow();
+    sm.group = (*sspecs)[i].group;
+    sm.bits = a.bits;
+    sm.on_time_s = a.on_time_s;
+    sm.connections = a.connections;
+    sm.rtt_mean_s = a.rtt.mean();
+    sm.rtt_count = static_cast<std::int64_t>(a.rtt.count());
+    sm.rtt_min_s = a.rtt.min();
+    sm.retransmits = a.retransmits;
+    sm.packets_sent = a.packets_sent;
+    sm.timeouts = a.timeouts;
+    sm.live_bits = static_cast<double>(sender.lifetime_acked_segments() -
                                        acked_at_warmup[i]) *
                    sim::kDefaultMss * 8.0;
-    sm.has_srtt = senders[i]->rtt().has_sample();
-    sm.srtt_s =
-        sm.has_srtt ? util::to_seconds(senders[i]->rtt().srtt()) : 0.0;
+    sm.has_srtt = sender.rtt().has_sample();
+    sm.srtt_s = sm.has_srtt ? util::to_seconds(sender.rtt().srtt()) : 0.0;
     m.per_sender.push_back(sm);
 
     if (sm.group >= 0) {
       GroupAccum& g = gacc[sm.group];
-      g.bits += a_bits;
-      g.on_time_s += a_on;
-      g.rtt_weighted += a_rtt.mean() * static_cast<double>(a_rtt.count());
-      g.conns += a_conns;
-      g.rtx += a_rtx;
-      g.pkts += a_pkts;
+      g.totals.merge(a);
+      g.rtt_weighted += a.rtt.mean() * static_cast<double>(a.rtt.count());
       g.live_bits += sm.live_bits;
       if (sm.has_srtt) g.srtt.add(sm.srtt_s);
     }
@@ -539,22 +447,11 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
   if (spec.churn.enabled()) {
     m.churn = aggregate_churn(churn_slots, churn_arrivals, churn_fct,
                               churn_wait, spec.warmup, dur_s);
-    for (const auto& cs : churn_slots) {
-      bits += cs->measured_bits();
-      on_time += cs->measured_fct_sum_s();
-      m.connections += static_cast<std::int64_t>(cs->measured_completed());
-      m.timeouts += cs->measured_timeouts();
-      rtt.merge(cs->measured_rtt());
-      if (cs->measured_rtt().count() > 0) {
-        const double mn = cs->measured_rtt().min();
-        if (!have_min || mn < min_rtt) {
-          min_rtt = mn;
-          have_min = true;
-        }
-      }
-    }
+    for (const auto& cs : churn_slots) all.merge(cs->measured());
   }
-  m.throughput_bps = on_time > 0 ? bits / on_time : 0.0;
+  m.throughput_bps = all.throughput_bps();
+  m.connections = all.connections;
+  m.timeouts = all.timeouts;
 
   const std::size_t paths = t.path_count();
   double qd = 0, loss = 0, util_sum = 0;
@@ -578,8 +475,8 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
   m.loss_rate = loss / static_cast<double>(paths);
   m.utilization = util_sum / static_cast<double>(paths);
 
-  m.mean_rtt_s = rtt.mean();
-  m.min_rtt_s = have_min ? min_rtt : 0.0;
+  m.mean_rtt_s = all.rtt.mean();
+  m.min_rtt_s = all.rtt.min();
   if (m.connections == 0) {
     // Long-running flows never complete (Fig. 2c): fall back to link
     // counters for goodput and to the live RTT estimators for delay.
@@ -594,10 +491,11 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
   for (const auto& [gid, g] : gacc) {
     GroupMetrics gm;
     gm.group = gid;
-    gm.throughput_bps = g.on_time_s > 0 ? g.bits / g.on_time_s : 0.0;
+    const std::int64_t conns = g.totals.connections;
+    gm.throughput_bps = g.totals.throughput_bps();
     gm.mean_rtt_s =
-        g.conns > 0 ? g.rtt_weighted / static_cast<double>(g.conns) : 0.0;
-    if (g.conns == 0) {
+        conns > 0 ? g.rtt_weighted / static_cast<double>(conns) : 0.0;
+    if (conns == 0) {
       // Long-running flows: goodput from live ACK progress, delay from
       // the live RTT estimators. A group with no traffic at all (or a
       // zero-length measurement window) reads as an all-zero row.
@@ -605,9 +503,11 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
       gm.mean_rtt_s = g.srtt.mean();
     }
     gm.retransmit_rate =
-        g.pkts > 0 ? static_cast<double>(g.rtx) / static_cast<double>(g.pkts)
-                   : 0.0;
-    gm.connections = g.conns;
+        g.totals.packets_sent > 0
+            ? static_cast<double>(g.totals.retransmits) /
+                  static_cast<double>(g.totals.packets_sent)
+            : 0.0;
+    gm.connections = conns;
     m.groups.push_back(gm);
   }
   if (live.on_complete) live.on_complete();
@@ -625,13 +525,12 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
 }
 
 ScenarioMetrics run_scenario(const ScenarioSpec& spec, PolicyFactory policy,
-                             AdvisorFactory advisor, GroupFn groups) {
+                             AdvisorFactory advisor) {
   SetupHook hook;
   if (advisor) {
     hook = [&advisor](LiveScenario&) { return advisor; };
   }
-  return run_scenario_with_setup(spec, std::move(policy), hook,
-                                 std::move(groups));
+  return run_scenario_with_setup(spec, std::move(policy), hook);
 }
 
 ScenarioMetrics run_cubic_scenario(const ScenarioSpec& spec,

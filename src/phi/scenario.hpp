@@ -32,7 +32,7 @@ struct SenderSpec {
   /// Flow id on the wire; 0 = auto (1000 + position in the sender list).
   sim::FlowId flow = 0;
   /// Per-sender on/off workload; nullopt = the spec-wide default.
-  std::optional<tcp::OnOffConfig> workload;
+  std::optional<tcp::OnOffConfig> workload{};
   /// > 0: a single bulk transfer of this many segments (started at t=0)
   /// instead of the on/off cycle — the §2.1 probe-flow pattern. Bulk
   /// senders draw nothing from the scenario seed and take no advisor.
@@ -95,12 +95,14 @@ struct RunCapture {
 };
 
 /// A declarative experiment: topology variant + sender population +
-/// duration/seed + optional fault plan. The topology-generic successor
-/// of ScenarioConfig (which remains as a dumbbell-only shim below).
+/// duration/seed + optional fault plan. presets::paper_dumbbell(pairs)
+/// is the Figure-1 starting point.
 struct ScenarioSpec {
   sim::TopologySpec topology = sim::DumbbellConfig{};
   /// Sender population. Empty = the canonical one on/off sender per
-  /// topology endpoint, all using `workload` (the paper's setup).
+  /// topology endpoint, all using `workload` (the paper's setup). The
+  /// explicit list {.endpoint = i} for every endpoint builds exactly the
+  /// same population; list it to assign reporting groups.
   std::vector<SenderSpec> senders;
   tcp::OnOffConfig workload{};  ///< default workload for senders
   util::Duration duration = util::seconds(120);
@@ -132,30 +134,6 @@ struct ScenarioSpec {
   }
 };
 
-/// Back-compat shim: the original dumbbell-only configuration. Converts
-/// implicitly to a ScenarioSpec, so existing call sites keep working and
-/// migrate mechanically.
-struct ScenarioConfig {
-  sim::DumbbellConfig net{};
-  tcp::OnOffConfig workload{};
-  util::Duration duration = util::seconds(120);
-  util::Duration warmup = 0;
-  std::uint64_t seed = 1;
-  bool ecn = false;
-
-  ScenarioSpec spec() const {
-    ScenarioSpec s;
-    s.topology = net;
-    s.workload = workload;
-    s.duration = duration;
-    s.warmup = warmup;
-    s.seed = seed;
-    s.ecn = ecn;
-    return s;
-  }
-  operator ScenarioSpec() const { return spec(); }  // NOLINT(google-explicit-constructor)
-};
-
 /// Creates the congestion-control policy for sender `i` (the position in
 /// the effective sender list). The incremental-deployment experiment
 /// (Fig. 4) returns different parameters per sender.
@@ -166,12 +144,8 @@ using PolicyFactory =
 using AdvisorFactory =
     std::function<std::unique_ptr<tcp::ConnectionAdvisor>(std::size_t i)>;
 
-/// Maps sender index -> reporting group (Fig. 4 reports modified vs
-/// unmodified separately). Return values must be small ints; negative
-/// values exclude the sender from group accounting. When no GroupFn is
-/// passed, SenderSpec::group assignments (if any) take its place.
-using GroupFn = std::function<int(std::size_t i)>;
-
+/// One reporting group's aggregate (SenderSpec::group; Fig. 4 reports
+/// modified vs unmodified senders separately).
 struct GroupMetrics {
   int group = 0;
   double throughput_bps = 0;  ///< group bits / group on-time
@@ -186,7 +160,7 @@ struct GroupMetrics {
 struct SenderMetrics {
   std::size_t endpoint = 0;
   sim::FlowId flow = 0;
-  int group = -1;                 ///< effective reporting group
+  int group = -1;                 ///< SenderSpec::group
   double bits = 0;                ///< completed-connection bits
   double on_time_s = 0;
   std::int64_t connections = 0;   ///< completed connections
@@ -264,10 +238,9 @@ struct ScenarioMetrics {
 };
 
 /// Run one scenario. All senders use `policy(i)`; when `advisor` is
-/// given, each app gets advisor(i) wired in; `groups` splits reporting.
+/// given, each app gets advisor(i) wired in.
 ScenarioMetrics run_scenario(const ScenarioSpec& spec, PolicyFactory policy,
-                             AdvisorFactory advisor = nullptr,
-                             GroupFn groups = nullptr);
+                             AdvisorFactory advisor = nullptr);
 
 /// Convenience: every sender runs Cubic with the same parameters.
 ScenarioMetrics run_cubic_scenario(const ScenarioSpec& spec,
@@ -280,11 +253,9 @@ struct LiveScenario;
 using SetupHook = std::function<AdvisorFactory(LiveScenario&)>;
 
 struct LiveScenario {
+  /// The live topology: scheduler(), and per path the bottleneck link
+  /// (path_link(p).rate()) and its monitor (path_monitor(p)).
   sim::Topology* topology = nullptr;
-  /// Concrete views; exactly one is non-null, matching the spec's
-  /// topology variant. Dumbbell-only hooks keep reading `dumbbell`.
-  sim::Dumbbell* dumbbell = nullptr;
-  sim::ParkingLot* parking_lot = nullptr;
   const ScenarioSpec* spec = nullptr;
   std::vector<tcp::TcpSender*> senders;
   std::vector<tcp::TcpSink*> sinks;
@@ -313,7 +284,6 @@ struct LiveScenario {
 
 ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
                                         PolicyFactory policy,
-                                        const SetupHook& setup,
-                                        GroupFn groups = nullptr);
+                                        const SetupHook& setup);
 
 }  // namespace phi::core

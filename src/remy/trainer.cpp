@@ -5,6 +5,7 @@
 
 #include "exec/pool.hpp"
 #include "phi/oracle.hpp"
+#include "phi/presets.hpp"
 #include "remy/phi_remy.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -24,9 +25,17 @@ struct ProbeState {
   const sim::LinkMonitor* monitor = nullptr;
 };
 
-/// One simulation run of `tree` under `mode`; per-sender groups filled.
+/// One simulation run of `tree` under `mode`. Remy's objective scores
+/// every sender on its own, so sender i reports as group i.
 core::ScenarioMetrics run_one(WhiskerTree& tree, SignalMode mode,
-                              const core::ScenarioSpec& cfg) {
+                              core::ScenarioSpec cfg) {
+  if (cfg.senders.empty()) {
+    cfg.senders.resize(cfg.sender_count());
+    for (std::size_t i = 0; i < cfg.senders.size(); ++i)
+      cfg.senders[i].endpoint = i;
+  }
+  for (std::size_t i = 0; i < cfg.senders.size(); ++i)
+    cfg.senders[i].group = static_cast<int>(i);
   // Non-owning alias: the tree outlives the run and keeps its use counts.
   auto shared = std::shared_ptr<WhiskerTree>(&tree, [](WhiskerTree*) {});
   auto probe_state = std::make_shared<ProbeState>();
@@ -73,8 +82,7 @@ core::ScenarioMetrics run_one(WhiskerTree& tree, SignalMode mode,
     };
   };
 
-  return core::run_scenario_with_setup(
-      cfg, policy, setup, [](std::size_t i) { return static_cast<int>(i); });
+  return core::run_scenario_with_setup(cfg, policy, setup);
 }
 
 /// Remy's objective over one run: mean over senders of log(tput/delay).
@@ -118,10 +126,9 @@ TrainerConfig TrainerConfig::table3(SignalMode mode,
   TrainerConfig cfg;
   cfg.mode = mode;
   for (const double mbps : {10.0, 20.0}) {
-    core::ScenarioConfig s;
-    s.net.pairs = 8;
-    s.net.bottleneck_rate = mbps * util::kMbps;
-    s.net.rtt = util::milliseconds(150);
+    core::ScenarioSpec s = core::presets::paper_dumbbell(8);
+    std::get<sim::DumbbellConfig>(s.topology).bottleneck_rate =
+        mbps * util::kMbps;
     s.workload.mean_on_bytes = 100e3;
     s.workload.mean_off_s = 0.5;
     s.duration = sim_time;

@@ -5,6 +5,26 @@
 
 namespace phi::tcp {
 
+void ConnTotals::absorb(const ConnStats& s, double on_time) {
+  ++connections;
+  on_time_s += on_time;
+  bits += static_cast<double>(s.segments) * sim::kDefaultMss * 8.0;
+  retransmits += s.retransmits;
+  packets_sent += s.packets_sent;
+  timeouts += s.timeouts;
+  if (s.rtt_samples > 0) rtt.add(s.mean_rtt_s);
+}
+
+void ConnTotals::merge(const ConnTotals& o) {
+  connections += o.connections;
+  bits += o.bits;
+  on_time_s += o.on_time_s;
+  retransmits += o.retransmits;
+  packets_sent += o.packets_sent;
+  timeouts += o.timeouts;
+  rtt.merge(o.rtt);
+}
+
 OnOffApp::OnOffApp(sim::Scheduler& sched, TcpSender& sender, OnOffConfig cfg,
                    std::uint64_t seed)
     : sched_(sched), sender_(sender), cfg_(cfg), rng_(seed) {}
@@ -29,7 +49,8 @@ void OnOffApp::stop() noexcept {
 
 void OnOffApp::schedule_next_connection(double off_delay_s) {
   if (!running_) return;
-  if (cfg_.max_connections > 0 && completed_ >= cfg_.max_connections) return;
+  if (cfg_.max_connections > 0 && totals_.connections >= cfg_.max_connections)
+    return;
   pending_ = sched_.schedule_in(util::from_seconds(off_delay_s), [this] {
     pending_ = 0;
     launch_connection();
@@ -47,26 +68,10 @@ void OnOffApp::launch_connection() {
                            [this](const ConnStats& s) { on_connection_done(s); });
 }
 
-void OnOffApp::reset_aggregates() noexcept {
-  completed_ = 0;
-  on_time_s_ = 0;
-  bits_ = 0;
-  retransmits_ = 0;
-  packets_ = 0;
-  timeouts_ = 0;
-  rtt_all_ = {};
-  conn_tput_.clear();
-}
+void OnOffApp::reset_aggregates() noexcept { totals_ = {}; }
 
 void OnOffApp::on_connection_done(const ConnStats& s) {
-  ++completed_;
-  on_time_s_ += s.duration_s();
-  bits_ += static_cast<double>(s.segments) * sim::kDefaultMss * 8.0;
-  retransmits_ += s.retransmits;
-  packets_ += s.packets_sent;
-  timeouts_ += s.timeouts;
-  if (s.rtt_samples > 0) rtt_all_.add(s.mean_rtt_s);
-  conn_tput_.add(s.throughput_bps());
+  totals_.absorb(s, s.duration_s());
   if (advisor_ != nullptr) advisor_->after_connection(s, sender_);
   schedule_next_connection(rng_.exponential(cfg_.mean_off_s));
 }

@@ -31,6 +31,26 @@ class ConnectionAdvisor {
   }
 };
 
+/// Aggregates over completed connections — what the paper reports per
+/// sender (throughput = bits / on-time). One tally serves every traffic
+/// shape: on/off apps, bulk transfers and churn sessions.
+struct ConnTotals {
+  std::int64_t connections = 0;
+  double bits = 0;
+  double on_time_s = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t packets_sent = 0;
+  std::uint64_t timeouts = 0;
+  util::RunningStats rtt;  ///< one mean-RTT sample per connection
+
+  /// Count one completed connection that was "on" for `on_time` seconds.
+  void absorb(const ConnStats& s, double on_time);
+  void merge(const ConnTotals& o);
+  double throughput_bps() const noexcept {
+    return on_time_s > 0 ? bits / on_time_s : 0.0;
+  }
+};
+
 struct OnOffConfig {
   double mean_on_bytes = 500e3;  ///< exponential; paper Fig. 2 uses 500 KB
   double mean_off_s = 2.0;       ///< exponential; paper Fig. 2 uses 2 s
@@ -59,27 +79,8 @@ class OnOffApp {
   /// Stop launching new connections (in-flight one finishes naturally).
   void stop() noexcept;
 
-  // --- aggregates over completed connections ---
-  std::int64_t connections_completed() const noexcept { return completed_; }
-  double total_on_time_s() const noexcept { return on_time_s_; }
-  double total_bits() const noexcept { return bits_; }
-  /// Paper metric: bits transferred / on-time (bps). 0 before the first
-  /// completion.
-  double throughput_bps() const noexcept {
-    return on_time_s_ > 0 ? bits_ / on_time_s_ : 0.0;
-  }
-  std::uint64_t total_retransmits() const noexcept { return retransmits_; }
-  std::uint64_t total_packets_sent() const noexcept { return packets_; }
-  std::uint64_t total_timeouts() const noexcept { return timeouts_; }
-  double mean_rtt_s() const noexcept { return rtt_all_.mean(); }
-  double min_rtt_s() const noexcept {
-    return rtt_all_.count() ? rtt_all_.min() : 0.0;
-  }
-  const util::Samples& per_conn_throughput_bps() const noexcept {
-    return conn_tput_;
-  }
-  /// Connection-level mean-RTT statistics (one sample per connection).
-  const util::RunningStats& rtt_stats() const noexcept { return rtt_all_; }
+  /// Aggregates over completed connections.
+  const ConnTotals& totals() const noexcept { return totals_; }
 
   /// Clear accumulated aggregates (e.g. after a warmup period). The
   /// on/off cycle keeps running; a connection spanning the reset reports
@@ -102,14 +103,7 @@ class OnOffApp {
   bool running_ = false;
   sim::EventId pending_ = 0;
 
-  std::int64_t completed_ = 0;
-  double on_time_s_ = 0;
-  double bits_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t packets_ = 0;
-  std::uint64_t timeouts_ = 0;
-  util::RunningStats rtt_all_;
-  util::Samples conn_tput_;
+  ConnTotals totals_;
 };
 
 }  // namespace phi::tcp

@@ -8,30 +8,28 @@
 
 #include "phi/client.hpp"
 #include "util/rng.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 #include "phi/sweep.hpp"
 
 namespace phi::core {
 namespace {
 
-ScenarioConfig paper_workload(std::size_t pairs, std::uint64_t seed,
-                              double on_bytes = 500e3, double off_s = 2.0) {
-  ScenarioConfig cfg;
-  cfg.net.pairs = pairs;
-  cfg.net.bottleneck_rate = 15.0 * util::kMbps;
-  cfg.net.rtt = util::milliseconds(150);
-  cfg.workload.mean_on_bytes = on_bytes;
-  cfg.workload.mean_off_s = off_s;
-  cfg.duration = util::seconds(40);
-  cfg.seed = seed;
-  return cfg;
+ScenarioSpec paper_workload(std::size_t pairs, std::uint64_t seed,
+                            double on_bytes = 500e3, double off_s = 2.0) {
+  ScenarioSpec spec = presets::paper_dumbbell(pairs);
+  spec.workload.mean_on_bytes = on_bytes;
+  spec.workload.mean_off_s = off_s;
+  spec.duration = util::seconds(40);
+  spec.seed = seed;
+  return spec;
 }
 
-double mean_pl(const ScenarioConfig& base, tcp::CubicParams params,
+double mean_pl(const ScenarioSpec& base, tcp::CubicParams params,
                int runs = 2) {
   double total = 0;
   for (int r = 0; r < runs; ++r) {
-    ScenarioConfig cfg = base;
+    ScenarioSpec cfg = base;
     cfg.seed = util::derive_seed(base.seed, static_cast<std::uint64_t>(r));
     total += run_cubic_scenario(cfg, params).power_l();
   }
@@ -72,13 +70,16 @@ TEST(PaperShape, Fig2cBetaControlsDelayForLongFlows) {
 TEST(PaperShape, Fig4ModifiedHalfGainsAtModerateLoad) {
   const auto base = paper_workload(8, 74);
   const tcp::CubicParams tuned{64, 32, 0.2};
+  ScenarioSpec grouped = base;  // even senders modified (group 0)
+  for (std::size_t i = 0; i < 8; ++i)
+    grouped.senders.push_back(
+        {.endpoint = i, .group = static_cast<int>(i % 2)});
   const auto mixed = run_scenario(
-      base,
+      grouped,
       [tuned](std::size_t i) -> std::unique_ptr<tcp::CongestionControl> {
         return std::make_unique<tcp::Cubic>(i % 2 == 0 ? tuned
                                                        : tcp::CubicParams{});
-      },
-      nullptr, [](std::size_t i) { return static_cast<int>(i % 2); });
+      });
   const auto all_default = run_cubic_scenario(base, tcp::CubicParams{});
   double modified = 0;
   for (const auto& g : mixed.groups)
@@ -94,7 +95,8 @@ TEST(PaperShape, PhiLoopBeatsAutonomousDefaults) {
   const auto before = run_cubic_scenario(base, tcp::CubicParams{});
 
   ContextServer server;
-  server.set_path_capacity(1, base.net.bottleneck_rate);
+  server.set_path_capacity(
+      1, std::get<sim::DumbbellConfig>(base.topology).bottleneck_rate);
   RecommendationTable table;
   for (int u = 0; u < 5; ++u)
     for (int n = 0; n < 6; ++n)
@@ -104,7 +106,7 @@ TEST(PaperShape, PhiLoopBeatsAutonomousDefaults) {
   const auto after = run_scenario_with_setup(
       base, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&server, sched](std::size_t i)
                    -> std::unique_ptr<tcp::ConnectionAdvisor> {
           return std::make_unique<PhiCubicAdvisor>(

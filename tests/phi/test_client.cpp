@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "phi/client.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 
 namespace phi::core {
@@ -21,8 +22,7 @@ TEST(PhiClient, AdvisorInstallsRecommendedParams) {
   table.set(ContextBucket{0, 0}, tcp::CubicParams{64, 32, 0.5});
   server.set_recommendations(std::move(table));
 
-  ScenarioConfig cfg;
-  cfg.net.pairs = 2;
+  ScenarioSpec cfg = presets::paper_dumbbell(2);
   cfg.workload.mean_on_bytes = 50e3;
   cfg.workload.mean_off_s = 0.3;
   cfg.duration = util::seconds(20);
@@ -39,7 +39,7 @@ TEST(PhiClient, AdvisorInstallsRecommendedParams) {
       cfg,
       [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         sched->schedule_at(cfg.duration - 1, [&] {
           for (const auto* adv : advisors)
             snapshots.push_back(
@@ -74,8 +74,7 @@ TEST(PhiClient, AdvisorInstallsRecommendedParams) {
 
 TEST(PhiClient, FallbackWhenNoRecommendation) {
   ContextServer server;  // empty table
-  ScenarioConfig cfg;
-  cfg.net.pairs = 1;
+  ScenarioSpec cfg = presets::paper_dumbbell(1);
   cfg.workload.mean_on_bytes = 30e3;
   cfg.workload.mean_off_s = 0.3;
   cfg.duration = util::seconds(10);
@@ -88,7 +87,7 @@ TEST(PhiClient, FallbackWhenNoRecommendation) {
   const auto metrics = run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         sched->schedule_at(cfg.duration - 1, [&] {
           if (captured != nullptr) {
             recommended = captured->recommended_connections();
@@ -111,8 +110,7 @@ TEST(PhiClient, FallbackWhenNoRecommendation) {
 TEST(PhiClient, ReportOnlyAdvisorFeedsServer) {
   ContextServer server;
   server.set_path_capacity(kPath, 15e6);
-  ScenarioConfig cfg;
-  cfg.net.pairs = 2;
+  ScenarioSpec cfg = presets::paper_dumbbell(2);
   cfg.workload.mean_on_bytes = 50e3;
   cfg.workload.mean_off_s = 0.3;
   cfg.duration = util::seconds(15);
@@ -132,8 +130,7 @@ TEST(PhiClient, ServerUtilizationTracksLinkMonitor) {
   // ground-truth monitor utilization.
   ContextServer server;
   server.set_path_capacity(kPath, 15e6);
-  ScenarioConfig cfg;
-  cfg.net.pairs = 6;
+  ScenarioSpec cfg = presets::paper_dumbbell(6);
   cfg.workload.mean_on_bytes = 200e3;
   cfg.workload.mean_off_s = 0.5;
   cfg.duration = util::seconds(40);

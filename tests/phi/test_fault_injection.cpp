@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "phi/fault_injection.hpp"
+#include "phi/presets.hpp"
 #include "phi/scenario.hpp"
 
 namespace phi::core {
@@ -276,8 +277,7 @@ TEST(FaultInjector, ReorderedReportDeliveredAfterSuccessor) {
 /// every crash that ever happened.
 double scenario_gap_after_crashes(util::Duration lease,
                                   std::uint64_t* crashes_out) {
-  ScenarioConfig cfg;
-  cfg.net.pairs = 8;
+  ScenarioSpec cfg = presets::paper_dumbbell(8);
   cfg.workload.mean_on_bytes = 60e3;
   cfg.workload.mean_off_s = 0.4;
   cfg.duration = util::seconds(90);
@@ -294,11 +294,10 @@ double scenario_gap_after_crashes(util::Duration lease,
   (void)run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<ContextServer>(
             scfg, [sched] { return sched->now(); });
-        server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+        server->set_path_capacity(kPath, live.topology->path_link(0).rate());
         FaultConfig fc;
         fc.crash = 0.02;
         fc.crash_until = util::seconds(45);
@@ -349,8 +348,7 @@ TEST(FaultInjection, ScenarioDuplicatesDoNotInflateUtilization) {
   // Every report duplicated: with idempotency the estimate must match a
   // fault-free run exactly (same seeds -> same traffic).
   auto run = [](double dup_rate, std::size_t dedup_capacity) {
-    ScenarioConfig cfg;
-    cfg.net.pairs = 6;
+    ScenarioSpec cfg = presets::paper_dumbbell(6);
     cfg.workload.mean_on_bytes = 80e3;
     cfg.workload.mean_off_s = 0.5;
     cfg.duration = util::seconds(40);
@@ -363,11 +361,11 @@ TEST(FaultInjection, ScenarioDuplicatesDoNotInflateUtilization) {
     (void)run_scenario_with_setup(
         cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
         [&](LiveScenario& live) -> AdvisorFactory {
-          sim::Scheduler* sched = &live.dumbbell->scheduler();
+          sim::Scheduler* sched = &live.topology->scheduler();
           server = std::make_unique<ContextServer>(
               scfg, [sched] { return sched->now(); });
-          server->set_path_capacity(
-              kPath, live.dumbbell->config().bottleneck_rate);
+          server->set_path_capacity(kPath,
+                                    live.topology->path_link(0).rate());
           FaultConfig fc;
           fc.duplicate_report = dup_rate;
           fc.seed = 3;

@@ -7,20 +7,20 @@
 #include <atomic>
 #include <cstddef>
 
+#include "phi/presets.hpp"
 #include "phi/sweep.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace phi::core {
 namespace {
 
-ScenarioConfig mini_scenario() {
-  ScenarioConfig cfg;
-  cfg.net.pairs = 4;
-  cfg.workload.mean_on_bytes = 100e3;
-  cfg.workload.mean_off_s = 0.5;
-  cfg.duration = util::seconds(10);
-  cfg.seed = 3;
-  return cfg;
+ScenarioSpec mini_scenario() {
+  ScenarioSpec spec = presets::paper_dumbbell(4);
+  spec.workload.mean_on_bytes = 100e3;
+  spec.workload.mean_off_s = 0.5;
+  spec.duration = util::seconds(10);
+  spec.seed = 3;
+  return spec;
 }
 
 SweepSpec small_grid(int jobs) {
@@ -61,21 +61,21 @@ void expect_sweep_eq(const SweepResult& a, const SweepResult& b) {
 }
 
 TEST(ParallelSweep, BitIdenticalToSerial) {
-  const ScenarioConfig base = mini_scenario();
+  const ScenarioSpec base = mini_scenario();
   const SweepResult serial = run_cubic_sweep(base, small_grid(1), 2);
   const SweepResult wide = run_cubic_sweep(base, small_grid(8), 2);
   expect_sweep_eq(serial, wide);
 }
 
 TEST(ParallelSweep, DefaultJobsMatchesSerialToo) {
-  const ScenarioConfig base = mini_scenario();
+  const ScenarioSpec base = mini_scenario();
   const SweepResult serial = run_cubic_sweep(base, small_grid(1), 1);
   const SweepResult hw = run_cubic_sweep(base, small_grid(0), 1);
   expect_sweep_eq(serial, hw);
 }
 
 TEST(ParallelSweep, ProgressSerializedAndMonotonic) {
-  const ScenarioConfig base = mini_scenario();
+  const ScenarioSpec base = mini_scenario();
   std::atomic<int> calls{0};
   std::size_t last_done = 0;
   bool monotonic = true;
@@ -99,7 +99,7 @@ TEST(ParallelSweep, ProgressSerializedAndMonotonic) {
 // Telemetry captured around the sweep folds in submission order, so the
 // exported registry is identical however many workers ran it.
 TEST(ParallelSweep, CapturedTelemetryIsJobsInvariant) {
-  const ScenarioConfig base = mini_scenario();
+  const ScenarioSpec base = mini_scenario();
   auto capture = [&](int jobs) {
     telemetry::MetricRegistry reg;
     {

@@ -1,7 +1,7 @@
-// The topology-generic scenario engine: ScenarioSpec populations,
-// back-compat with the ScenarioConfig shim, parking-lot runs, bulk
-// probe senders, zero-activity group accounting, fault wiring, and the
-// preset registry + override grammar behind tools/run_scenario.
+// The topology-generic scenario engine: default and explicit (grouped)
+// ScenarioSpec populations, parking-lot runs, bulk probe senders,
+// zero-activity group accounting, fault wiring, and the preset registry
+// + override grammar behind tools/run_scenario.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,27 +24,6 @@ ScenarioSpec small_dumbbell_spec() {
   return spec;
 }
 
-TEST(ScenarioEngine, ConfigShimMatchesEquivalentSpec) {
-  ScenarioConfig cfg;
-  cfg.net.pairs = 4;
-  cfg.workload.mean_on_bytes = 200e3;
-  cfg.workload.mean_off_s = 1.0;
-  cfg.duration = util::seconds(20);
-  cfg.seed = 7;
-
-  const ScenarioMetrics via_shim = run_cubic_scenario(cfg, tcp::CubicParams{});
-  const ScenarioMetrics via_spec =
-      run_cubic_scenario(small_dumbbell_spec(), tcp::CubicParams{});
-
-  EXPECT_DOUBLE_EQ(via_shim.throughput_bps, via_spec.throughput_bps);
-  EXPECT_DOUBLE_EQ(via_shim.mean_queue_delay_s, via_spec.mean_queue_delay_s);
-  EXPECT_DOUBLE_EQ(via_shim.loss_rate, via_spec.loss_rate);
-  EXPECT_DOUBLE_EQ(via_shim.utilization, via_spec.utilization);
-  EXPECT_DOUBLE_EQ(via_shim.mean_rtt_s, via_spec.mean_rtt_s);
-  EXPECT_EQ(via_shim.connections, via_spec.connections);
-  EXPECT_EQ(via_shim.timeouts, via_spec.timeouts);
-}
-
 TEST(ScenarioEngine, DefaultPopulationIsOneSenderPerEndpoint) {
   const ScenarioMetrics m =
       run_cubic_scenario(small_dumbbell_spec(), tcp::CubicParams{});
@@ -56,6 +35,53 @@ TEST(ScenarioEngine, DefaultPopulationIsOneSenderPerEndpoint) {
     EXPECT_EQ(m.per_sender[i].flow, sim::FlowId(1000 + i));
     EXPECT_EQ(m.per_sender[i].group, -1);
   }
+}
+
+TEST(ScenarioEngine, GroupedExplicitPopulationMatchesDefault) {
+  // Listing the default population explicitly, with reporting groups,
+  // changes no sender's traffic, and the group rows add up to the whole.
+  const ScenarioSpec plain = small_dumbbell_spec();
+  ScenarioSpec grouped = plain;
+  for (std::size_t i = 0; i < 4; ++i)
+    grouped.senders.push_back(
+        {.endpoint = i, .group = static_cast<int>(i % 2)});
+
+  const ScenarioMetrics a = run_cubic_scenario(plain, tcp::CubicParams{});
+  const ScenarioMetrics b = run_cubic_scenario(grouped, tcp::CubicParams{});
+  EXPECT_TRUE(a.groups.empty());
+  ASSERT_EQ(a.per_sender.size(), 4u);
+  ASSERT_EQ(b.per_sender.size(), 4u);
+  std::int64_t conns_by_group[2] = {0, 0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    const SenderMetrics& x = a.per_sender[i];
+    const SenderMetrics& y = b.per_sender[i];
+    EXPECT_EQ(x.group, -1);
+    EXPECT_EQ(y.group, static_cast<int>(i % 2));
+    EXPECT_EQ(x.endpoint, y.endpoint);
+    EXPECT_EQ(x.flow, y.flow);
+    EXPECT_EQ(x.bits, y.bits);
+    EXPECT_EQ(x.on_time_s, y.on_time_s);
+    EXPECT_EQ(x.connections, y.connections);
+    EXPECT_EQ(x.rtt_mean_s, y.rtt_mean_s);
+    EXPECT_EQ(x.rtt_count, y.rtt_count);
+    EXPECT_EQ(x.rtt_min_s, y.rtt_min_s);
+    EXPECT_EQ(x.retransmits, y.retransmits);
+    EXPECT_EQ(x.packets_sent, y.packets_sent);
+    EXPECT_EQ(x.timeouts, y.timeouts);
+    EXPECT_EQ(x.live_bits, y.live_bits);
+    EXPECT_EQ(x.srtt_s, y.srtt_s);
+    conns_by_group[i % 2] += y.connections;
+  }
+  EXPECT_EQ(a.throughput_bps, b.throughput_bps);
+  EXPECT_EQ(a.mean_rtt_s, b.mean_rtt_s);
+  EXPECT_EQ(a.connections, b.connections);
+  EXPECT_EQ(a.events_executed, b.events_executed);
+
+  ASSERT_EQ(b.groups.size(), 2u);
+  EXPECT_EQ(b.groups[0].connections, conns_by_group[0]);
+  EXPECT_EQ(b.groups[1].connections, conns_by_group[1]);
+  EXPECT_EQ(b.groups[0].connections + b.groups[1].connections,
+            b.connections);
 }
 
 TEST(ScenarioEngine, ParkingLotSpecRunsPerPathMetrics) {
@@ -204,6 +230,32 @@ TEST(ScenarioPresets, OverridesMutateAndValidate) {
   EXPECT_FALSE(presets::apply_override(pinned, "cross_per_hop=4", &err));
   EXPECT_TRUE(presets::apply_override(pinned, "hop_rate_mbps=20", &err))
       << err;
+
+  // Numbers that are not finite, not whole where a count or seed is
+  // wanted, or too large to convert fail and leave the spec alone.
+  for (const char* bad :
+       {"duration_s=nan", "duration_s=inf", "warmup_s=-inf", "seed=1e30",
+        "seed=-1", "seed=2.5", "pairs=2.5", "pairs=1e30", "rate_mbps=nan",
+        "rtt_ms=inf", "rtt_ms=1e300", "jitter_ms=nan", "churn_per_s=nan",
+        "churn_cap=1e30"})
+    EXPECT_FALSE(presets::apply_override(spec, bad, &err)) << bad;
+  EXPECT_EQ(spec.seed, 42u);
+  EXPECT_EQ(spec.duration, util::from_seconds(7.5));
+  EXPECT_EQ(std::get<sim::DumbbellConfig>(spec.topology).pairs, 12u);
+  ScenarioSpec wan = presets::find("wan-churn")->spec;
+  EXPECT_FALSE(presets::apply_override(wan, "wan_seed=1e30", &err));
+
+  // Millisecond keys keep their fractions; whole values stay exact.
+  ScenarioSpec ms = presets::find("dumbbell-low-util")->spec;
+  const auto& dumb = std::get<sim::DumbbellConfig>(ms.topology);
+  ASSERT_TRUE(presets::apply_override(ms, "rtt_ms=150.5", &err)) << err;
+  EXPECT_EQ(dumb.rtt, 150'500'000);
+  ASSERT_TRUE(presets::apply_override(ms, "rtt_ms=0.5", &err)) << err;
+  EXPECT_EQ(dumb.rtt, 500'000);
+  ASSERT_TRUE(presets::apply_override(ms, "jitter_ms=0.4", &err)) << err;
+  EXPECT_EQ(dumb.bottleneck_jitter, 400'000);
+  ASSERT_TRUE(presets::apply_override(ms, "rtt_ms=150", &err)) << err;
+  EXPECT_EQ(dumb.rtt, util::milliseconds(150));
 }
 
 }  // namespace

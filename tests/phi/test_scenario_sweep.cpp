@@ -1,19 +1,19 @@
 #include <gtest/gtest.h>
 
+#include "phi/presets.hpp"
 #include "phi/sweep.hpp"
 
 namespace phi::core {
 namespace {
 
-ScenarioConfig mini_scenario(std::size_t pairs = 4,
-                             util::Duration dur = util::seconds(20)) {
-  ScenarioConfig cfg;
-  cfg.net.pairs = pairs;
-  cfg.workload.mean_on_bytes = 100e3;
-  cfg.workload.mean_off_s = 0.5;
-  cfg.duration = dur;
-  cfg.seed = 3;
-  return cfg;
+ScenarioSpec mini_scenario(std::size_t pairs = 4,
+                           util::Duration dur = util::seconds(20)) {
+  ScenarioSpec spec = presets::paper_dumbbell(pairs);
+  spec.workload.mean_on_bytes = 100e3;
+  spec.workload.mean_off_s = 0.5;
+  spec.duration = dur;
+  spec.seed = 3;
+  return spec;
 }
 
 TEST(Scenario, DeterministicForSameSeed) {
@@ -45,10 +45,11 @@ TEST(Scenario, MetricsSane) {
 }
 
 TEST(Scenario, GroupsPartitionTraffic) {
+  ScenarioSpec spec = mini_scenario();
+  for (std::size_t i = 0; i < 4; ++i)
+    spec.senders.push_back({.endpoint = i, .group = static_cast<int>(i % 2)});
   const auto m = run_scenario(
-      mini_scenario(),
-      [](std::size_t) { return std::make_unique<tcp::Cubic>(); }, nullptr,
-      [](std::size_t i) { return static_cast<int>(i % 2); });
+      spec, [](std::size_t) { return std::make_unique<tcp::Cubic>(); });
   ASSERT_EQ(m.groups.size(), 2u);
   std::int64_t conns = 0;
   for (const auto& g : m.groups) conns += g.connections;

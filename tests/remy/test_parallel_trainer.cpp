@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "phi/presets.hpp"
 #include "remy/trainer.hpp"
 
 namespace phi::remy {
@@ -51,8 +52,7 @@ TEST(ParallelTrainer, TrainMatchesSerial) {
 }
 
 TEST(ParallelTrainer, ScoreTreeMatchesSerial) {
-  core::ScenarioConfig scenario;
-  scenario.net.pairs = 4;
+  core::ScenarioSpec scenario = core::presets::paper_dumbbell(4);
   scenario.workload.mean_on_bytes = 100e3;
   scenario.workload.mean_off_s = 0.5;
   scenario.duration = util::seconds(10);

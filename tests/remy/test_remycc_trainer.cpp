@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "phi/oracle.hpp"
+#include "phi/presets.hpp"
 #include "remy/remycc.hpp"
 #include "remy/trainer.hpp"
 #include "sim/topology.hpp"
@@ -193,8 +194,7 @@ TEST(Trainer, PracticalModeRunsWithContextServer) {
 }
 
 TEST(Trainer, ScoreTreeIsolatesScenario) {
-  core::ScenarioConfig scenario;
-  scenario.net.pairs = 4;
+  core::ScenarioSpec scenario = core::presets::paper_dumbbell(4);
   scenario.workload.mean_on_bytes = 100e3;
   scenario.workload.mean_off_s = 0.5;
   scenario.duration = util::seconds(10);

@@ -36,11 +36,12 @@ TEST(OnOffApp, CyclesConnections) {
   AppHarness h(cfg);
   h.app->start();
   h.d.net().run_until(util::seconds(60));
-  EXPECT_GT(h.app->connections_completed(), 10);
-  EXPECT_GT(h.app->total_bits(), 0.0);
-  EXPECT_GT(h.app->total_on_time_s(), 0.0);
-  EXPECT_GT(h.app->throughput_bps(), 0.0);
-  EXPECT_GT(h.app->mean_rtt_s(), 0.1);
+  const ConnTotals& t = h.app->totals();
+  EXPECT_GT(t.connections, 10);
+  EXPECT_GT(t.bits, 0.0);
+  EXPECT_GT(t.on_time_s, 0.0);
+  EXPECT_GT(t.throughput_bps(), 0.0);
+  EXPECT_GT(t.rtt.mean(), 0.1);
 }
 
 TEST(OnOffApp, MaxConnectionsStopsCycle) {
@@ -51,7 +52,7 @@ TEST(OnOffApp, MaxConnectionsStopsCycle) {
   AppHarness h(cfg);
   h.app->start();
   h.d.net().run_until(util::seconds(120));
-  EXPECT_EQ(h.app->connections_completed(), 5);
+  EXPECT_EQ(h.app->totals().connections, 5);
 }
 
 TEST(OnOffApp, StopPreventsNewConnections) {
@@ -61,10 +62,10 @@ TEST(OnOffApp, StopPreventsNewConnections) {
   AppHarness h(cfg);
   h.app->start();
   h.d.net().run_until(util::seconds(10));
-  const auto count = h.app->connections_completed();
+  const auto count = h.app->totals().connections;
   h.app->stop();
   h.d.net().run_until(util::seconds(60));
-  EXPECT_LE(h.app->connections_completed(), count + 1);  // in-flight one
+  EXPECT_LE(h.app->totals().connections, count + 1);  // in-flight one
 }
 
 TEST(OnOffApp, StartIdempotent) {
@@ -84,7 +85,7 @@ TEST(OnOffApp, DeterministicAcrossSeeds) {
     AppHarness h(cfg, seed);
     h.app->start();
     h.d.net().run_until(util::seconds(30));
-    return std::pair{h.app->connections_completed(), h.app->total_bits()};
+    return std::pair{h.app->totals().connections, h.app->totals().bits};
   };
   const auto a1 = run(5);
   const auto a2 = run(5);
@@ -126,7 +127,7 @@ TEST(OnOffApp, AdvisorCanSwapCcPerConnection) {
   h.app->set_advisor(&advisor);
   h.app->start();
   h.d.net().run_until(util::seconds(30));
-  EXPECT_EQ(h.app->connections_completed(), 2);
+  EXPECT_EQ(h.app->totals().connections, 2);
   EXPECT_EQ(h.sender->cc().ssthresh(), 32.0);
 }
 
@@ -137,27 +138,36 @@ TEST(OnOffApp, ResetAggregatesClearsCounters) {
   AppHarness h(cfg);
   h.app->start();
   h.d.net().run_until(util::seconds(20));
-  ASSERT_GT(h.app->connections_completed(), 0);
+  ASSERT_GT(h.app->totals().connections, 0);
   h.app->reset_aggregates();
-  EXPECT_EQ(h.app->connections_completed(), 0);
-  EXPECT_EQ(h.app->total_bits(), 0.0);
+  EXPECT_EQ(h.app->totals().connections, 0);
+  EXPECT_EQ(h.app->totals().bits, 0.0);
   // Cycle keeps running.
   h.d.net().run_until(util::seconds(60));
-  EXPECT_GT(h.app->connections_completed(), 0);
+  EXPECT_GT(h.app->totals().connections, 0);
 }
 
 TEST(OnOffApp, ConnStatsThroughputConsistency) {
-  // Per-connection throughput samples should average near aggregate.
+  // Per-connection throughputs, as an advisor sees them, are positive
+  // and bounded by the bottleneck; the tally counts the same connections.
+  struct ThroughputAdvisor : ConnectionAdvisor {
+    util::Samples tput;
+    void after_connection(const ConnStats& s, const TcpSender&) override {
+      tput.add(s.throughput_bps());
+    }
+  } advisor;
   OnOffConfig cfg;
   cfg.mean_on_bytes = 100e3;
   cfg.mean_off_s = 0.3;
   AppHarness h(cfg);
+  h.app->set_advisor(&advisor);
   h.app->start();
   h.d.net().run_until(util::seconds(60));
-  ASSERT_GT(h.app->per_conn_throughput_bps().count(), 5u);
-  EXPECT_GT(h.app->per_conn_throughput_bps().median(), 0.0);
-  EXPECT_LT(h.app->per_conn_throughput_bps().max(),
-            15.0 * util::kMbps * 1.01);
+  ASSERT_GT(advisor.tput.count(), 5u);
+  EXPECT_EQ(static_cast<std::int64_t>(advisor.tput.count()),
+            h.app->totals().connections);
+  EXPECT_GT(advisor.tput.median(), 0.0);
+  EXPECT_LT(advisor.tput.max(), 15.0 * util::kMbps * 1.01);
 }
 
 }  // namespace

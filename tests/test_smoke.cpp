@@ -71,10 +71,11 @@ TEST(Smoke, EightOnOffSendersProduceTraffic) {
 
   std::int64_t total_conns = 0;
   for (const auto& a : apps) {
-    EXPECT_GT(a->connections_completed(), 5);
-    total_conns += a->connections_completed();
-    EXPECT_GT(a->throughput_bps(), 0.0);
-    EXPECT_LT(a->throughput_bps(), cfg.bottleneck_rate * 1.01);
+    const tcp::ConnTotals& t = a->totals();
+    EXPECT_GT(t.connections, 5);
+    total_conns += t.connections;
+    EXPECT_GT(t.throughput_bps(), 0.0);
+    EXPECT_LT(t.throughput_bps(), cfg.bottleneck_rate * 1.01);
   }
   EXPECT_GT(total_conns, 100);
   EXPECT_GT(d.monitor().utilization_series().mean(), 0.05);

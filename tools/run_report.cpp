@@ -20,11 +20,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -114,8 +116,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[a], "--timeseries-dt", 15) == 0) {
-      if (argv[a][15] == '=') dt_s = std::atof(argv[a] + 16);
-      if (!(dt_s > 0)) {
+      if (argv[a][15] == '=' && !bench::parse_seconds(argv[a] + 16, dt_s)) {
         std::fprintf(stderr, "--timeseries-dt wants seconds > 0\n");
         return 2;
       }
@@ -140,33 +141,41 @@ int main(int argc, char** argv) {
   // a pre-seeded recommendation table guarantees lookups return tuned
   // parameters (has_recommendation) from the first connection on.
   std::unique_ptr<core::ContextServer> server;
-  std::vector<std::unique_ptr<core::PhiCubicAdvisor>> advisors_keepalive;
 
   bench::phase("run");
-  const auto metrics = core::run_scenario_with_setup(
-      spec, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
-      [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.topology->scheduler();
-        server = std::make_unique<core::ContextServer>(
-            core::ContextServerConfig{}, [sched] { return sched->now(); });
-        if (live.dumbbell != nullptr) {
-          server->set_path_capacity(
-              kPath, live.dumbbell->config().bottleneck_rate);
-        }
-        core::RecommendationTable table;
-        tcp::CubicParams tuned;
-        tuned.window_init = 8;
-        tuned.beta = 0.15;
-        for (int u = 0; u < 5; ++u)
-          for (int n = 0; n < 8; ++n)
-            table.set(core::ContextBucket{u, n}, tuned);
-        server->set_recommendations(std::move(table));
-        core::ContextServer* srv = server.get();
-        return [srv, sched](std::size_t i) {
-          return std::make_unique<core::PhiCubicAdvisor>(
-              *srv, kPath, i + 1, [sched] { return sched->now(); });
-        };
-      });
+  core::ScenarioMetrics metrics;
+  try {
+    metrics = core::run_scenario_with_setup(
+        spec, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
+        [&](core::LiveScenario& live) -> core::AdvisorFactory {
+          sim::Scheduler* sched = &live.topology->scheduler();
+          server = std::make_unique<core::ContextServer>(
+              core::ContextServerConfig{}, [sched] { return sched->now(); });
+          // kPath stands for the dumbbell's one bottleneck; other
+          // topologies have no single path to size it by.
+          if (std::holds_alternative<sim::DumbbellConfig>(spec.topology))
+            server->set_path_capacity(kPath,
+                                      live.topology->path_link(0).rate());
+          core::RecommendationTable table;
+          tcp::CubicParams tuned;
+          tuned.window_init = 8;
+          tuned.beta = 0.15;
+          for (int u = 0; u < 5; ++u)
+            for (int n = 0; n < 8; ++n)
+              table.set(core::ContextBucket{u, n}, tuned);
+          server->set_recommendations(std::move(table));
+          core::ContextServer* srv = server.get();
+          return [srv, sched](std::size_t i) {
+            return std::make_unique<core::PhiCubicAdvisor>(
+                *srv, kPath, i + 1, [sched] { return sched->now(); });
+          };
+        });
+  } catch (const std::exception& e) {
+    // The engine rejects specs the override grammar cannot see, e.g. an
+    // RTT shorter than the dumbbell's edge delays.
+    std::fprintf(stderr, "bad scenario: %s\n", e.what());
+    return 2;
+  }
 
   bench::phase("export");
   const std::string dir = bench::out_dir();

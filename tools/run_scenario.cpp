@@ -19,6 +19,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -139,8 +140,7 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[a], "--timeseries-dt", 15) == 0) {
       double dt_s = 0.1;
-      if (argv[a][15] == '=') dt_s = std::atof(argv[a] + 16);
-      if (!(dt_s > 0)) {
+      if (argv[a][15] == '=' && !bench::parse_seconds(argv[a] + 16, dt_s)) {
         std::fprintf(stderr, "--timeseries-dt wants seconds > 0\n");
         return 2;
       }
@@ -185,15 +185,23 @@ int main(int argc, char** argv) {
   for (int r = 0; r < runs; ++r) reps[static_cast<std::size_t>(r)] = r;
   bench::WallTimer timer;
   bench::phase("run");
-  const auto all = exec::parallel_map(
-      reps,
-      [&](int r) {
-        core::ScenarioSpec run_spec = spec;
-        run_spec.seed =
-            util::derive_seed(spec.seed, static_cast<std::uint64_t>(r));
-        return core::run_cubic_scenario(run_spec, tcp::CubicParams{});
-      },
-      bench::jobs_from_env());
+  std::vector<core::ScenarioMetrics> all;
+  try {
+    all = exec::parallel_map(
+        reps,
+        [&](int r) {
+          core::ScenarioSpec run_spec = spec;
+          run_spec.seed =
+              util::derive_seed(spec.seed, static_cast<std::uint64_t>(r));
+          return core::run_cubic_scenario(run_spec, tcp::CubicParams{});
+        },
+        bench::jobs_from_env());
+  } catch (const std::exception& e) {
+    // The engine rejects specs the override grammar cannot see, e.g. an
+    // RTT shorter than the dumbbell's edge delays.
+    std::fprintf(stderr, "bad scenario: %s\n", e.what());
+    return 2;
+  }
   bench::phase("export");
 
   bench::ResultTable t("run_scenario_" + name + ".csv",
