@@ -102,15 +102,16 @@ int main() {
     late_adv.add(sim::late_fraction(outcome.jitter_ms, advised_ms));
   }
 
+  std::string high_penalty = "+";
+  high_penalty += util::TextTable::num(kHighDefault - advised_ms, 0);
+  high_penalty += " ms vs advised";
   util::TextTable t;
   t.header({"Initialization", "Buffer (ms)", "Late frames",
             "Mouth-to-ear penalty"});
   t.row({"cold start, low", util::TextTable::num(kLowDefault, 0),
          util::TextTable::pct(late_low.mean(), 2), "minimal"});
   t.row({"cold start, high", util::TextTable::num(kHighDefault, 0),
-         util::TextTable::pct(late_high.mean(), 2),
-         "+" + util::TextTable::num(kHighDefault - advised_ms, 0) +
-             " ms vs advised"});
+         util::TextTable::pct(late_high.mean(), 2), high_penalty});
   t.row({"Phi-advised (shared p98)", util::TextTable::num(advised_ms, 0),
          util::TextTable::pct(late_adv.mean(), 2), "baseline"});
   std::printf("\n%s", t.str().c_str());

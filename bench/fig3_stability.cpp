@@ -45,11 +45,12 @@ int main() {
     auto row = [&](const char* label, double score, double tput, double qd) {
       const double gain =
           st.default_score > 0 ? score / st.default_score : 0.0;
+      std::string gain_cell = "x";
+      gain_cell += util::TextTable::num(gain, 2);
       t.row({std::to_string(pairs) + " senders", label,
              util::TextTable::num(score / 1e6, 2),
              util::TextTable::num(tput / 1e6, 2),
-             util::TextTable::num(qd * 1e3, 1),
-             "x" + util::TextTable::num(gain, 2)});
+             util::TextTable::num(qd * 1e3, 1), gain_cell});
       csv.push_back({std::to_string(pairs), label,
                      util::TextTable::num(score, 0),
                      util::TextTable::num(tput, 0),

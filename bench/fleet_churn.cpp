@@ -105,7 +105,8 @@ core::ScenarioMetrics run_cell(const core::ScenarioSpec& spec, bool phi,
     const int regions = g != nullptr ? g->regions() : 1;
     for (int r = 0; r < regions; ++r) {
       core::AggregatorConfig ac;
-      ac.name = "r" + std::to_string(r);
+      ac.name = "r";
+      ac.name += std::to_string(r);
       pr->aggs.push_back(std::make_unique<core::AggregatorServer>(
           *sched, *pr->root, ac));
     }

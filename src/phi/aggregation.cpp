@@ -26,7 +26,8 @@ LookupReply AggregatorServer::lookup(const LookupRequest& req) {
     reply = it->second.reply;
     const double age = util::to_seconds(sched_.now() - it->second.at);
     staleness_.add(age);
-    ts_staleness_->sample(util::to_seconds(sched_.now()), age);
+    if (telemetry::recording_series())
+      ts_staleness_->sample(util::to_seconds(sched_.now()), age);
   } else {
     ++cold_lookups_;
   }

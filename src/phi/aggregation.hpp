@@ -113,6 +113,8 @@ class AggregatorServer : public ContextService, public ContextSource {
   telemetry::Counter* ctr_reports_;
   telemetry::Counter* ctr_flushes_;
   telemetry::Counter* ctr_forwarded_;
+  /// Age of every warm lookup's answer; sampled only inside a run that
+  /// records time series (telemetry::recording_series()).
   telemetry::TimeSeries* ts_staleness_;
 };
 

@@ -74,6 +74,8 @@ class ChurnSlot {
     std::size_t index = 0;       ///< global session number
   };
 
+  /// Size the session list for `n` sessions before add()ing them.
+  void reserve(std::size_t n) { sessions_.reserve(n); }
   /// Preload one session; call in arrival order.
   void add(const Entry& e) { sessions_.push_back(e); }
 

@@ -30,8 +30,9 @@ ContextServer::ContextServer(ContextServerConfig cfg,
 void ContextServer::set_recommendations(RecommendationTable table) {
   recommendations_ = std::move(table);
   ++table_installs_;
-  ts_table_installs_->sample(util::to_seconds(now_or(last_message_at_)),
-                             static_cast<double>(table_installs_));
+  if (telemetry::recording_series())
+    ts_table_installs_->sample(util::to_seconds(now_or(last_message_at_)),
+                               static_cast<double>(table_installs_));
 }
 
 void ContextServer::set_path_capacity(PathKey path, util::Rate bps) {
@@ -137,11 +138,13 @@ LookupReply ContextServer::lookup(const LookupRequest& req) {
   // Staleness as the requester experiences it: how old is the newest
   // information this lookup's answer can possibly be based on? Sampled
   // before the lookup itself refreshes last_message_at_.
-  ts_staleness_->sample(
-      util::to_seconds(now_or(req.at)),
-      last_message_at_ > 0
-          ? std::max(util::to_seconds(req.at - last_message_at_), 0.0)
-          : 0.0);
+  if (telemetry::recording_series()) {
+    ts_staleness_->sample(
+        util::to_seconds(now_or(req.at)),
+        last_message_at_ > 0
+            ? std::max(util::to_seconds(req.at - last_message_at_), 0.0)
+            : 0.0);
+  }
   last_message_at_ = std::max(last_message_at_, req.at);
   PathState& st = paths_[req.path];
   const util::Time now = now_or(req.at);
@@ -208,7 +211,8 @@ void ContextServer::report(const Report& r) {
   PathState& st = paths_[r.path];
   const util::Time now = now_or(r.ended);
   g_version_->set(static_cast<double>(version_));
-  ts_version_->sample(util::to_seconds(now), static_cast<double>(version_));
+  if (telemetry::recording_series())
+    ts_version_->sample(util::to_seconds(now), static_cast<double>(version_));
   telemetry::emit({.name = "ctx.report", .cat = telemetry::Category::kContext,
                    .t0 = now, .k0 = "path", .a0 = static_cast<double>(r.path),
                    .k1 = "version", .a1 = static_cast<double>(version_)});

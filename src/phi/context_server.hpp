@@ -222,7 +222,8 @@ class ContextServer : public ContextSource, public ContextService {
   // context staleness (age of the newest message the server had seen) on
   // every lookup, and table churn on every set_recommendations. Sampled
   // on control-plane events, not packets — the steady-state datapath
-  // never touches these.
+  // never touches these — and only inside a run that records time
+  // series (telemetry::recording_series()), since they grow per message.
   telemetry::TimeSeries* ts_version_;
   telemetry::TimeSeries* ts_staleness_;
   telemetry::TimeSeries* ts_table_installs_;

@@ -102,6 +102,21 @@ struct LogGuard {
   bool active_ = false;
 };
 
+/// Scoped switch for the per-message control-plane series (see
+/// telemetry::recording_series()): on for the run exactly when the run
+/// records time series.
+class SeriesGuard {
+ public:
+  explicit SeriesGuard(bool on)
+      : prev_(telemetry::set_recording_series(on)) {}
+  ~SeriesGuard() { telemetry::set_recording_series(prev_); }
+  SeriesGuard(const SeriesGuard&) = delete;
+  SeriesGuard& operator=(const SeriesGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
 }  // namespace
 
 ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
@@ -147,6 +162,7 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
   // default TelemetrySpec none of this happens and the run is untouched.
   std::shared_ptr<RunCapture> capture;
   LogGuard log_guard;
+  const SeriesGuard series_guard(spec.telemetry.timeseries_dt > 0);
   std::vector<telemetry::LoopProfile> shard_profiles;
   if (spec.telemetry.any()) {
     capture = std::make_shared<RunCapture>(spec.telemetry.trace_one_in,
@@ -257,40 +273,51 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
     scfg.max_bytes = spec.churn.max_bytes;
     scfg.max_sessions = spec.churn.max_sessions;
     scfg.seed = util::derive_seed(spec.seed, kChurnStream);
-    const std::vector<flow::Session> trace = flow::generate_sessions(scfg);
-
-    const std::size_t eps = t.endpoint_count();
-    const std::size_t spe =
-        std::max<std::size_t>(1, spec.churn.slots_per_endpoint);
-    churn_arrivals.resize(trace.size());
-    churn_fct.assign(trace.size(), -1.0);
-    churn_wait.assign(trace.size(), -1.0);
-    std::vector<std::vector<ChurnSlot::Entry>> per_slot(eps * spe);
-    std::vector<std::size_t> rr(eps, 0);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      const flow::Session& s = trace[i];
-      const std::size_t ep = s.rank % eps;
-      ChurnSlot::Entry e;
-      e.at = util::from_seconds(s.at_s);
-      e.segments = std::max<std::int64_t>(
-          1, (s.bytes + sim::kDefaultMss - 1) / sim::kDefaultMss);
-      e.index = i;
-      churn_arrivals[i] = e.at;
-      per_slot[ep * spe + (rr[ep]++ % spe)].push_back(e);
+    {
+      const std::vector<flow::Session> trace = flow::generate_sessions(scfg);
+      // Each session is stored once, in its slot, at exactly the size
+      // needed: one pass counts each slot's share of the per-endpoint
+      // round-robin, the slots are sized to it, and a second pass fills
+      // them in trace order.
+      const std::size_t eps = t.endpoint_count();
+      const std::size_t spe =
+          std::max<std::size_t>(1, spec.churn.slots_per_endpoint);
+      std::vector<std::size_t> rr(eps, 0);
+      const auto next_slot = [&](const flow::Session& s) {
+        const std::size_t ep = s.rank % eps;
+        return ep * spe + (rr[ep]++ % spe);
+      };
+      std::vector<std::size_t> slot_sessions(eps * spe, 0);
+      for (const flow::Session& s : trace) ++slot_sessions[next_slot(s)];
+      // Slot index -> its ChurnSlot; null where the trace leaves it idle.
+      std::vector<ChurnSlot*> slot_at(eps * spe, nullptr);
+      for (std::size_t slot = 0; slot < slot_sessions.size(); ++slot) {
+        if (slot_sessions[slot] == 0) continue;
+        churn_slots.push_back(std::make_unique<ChurnSlot>());
+        churn_slots.back()->reserve(slot_sessions[slot]);
+        churn_slot_endpoint.push_back(slot / spe);
+        slot_at[slot] = churn_slots.back().get();
+      }
+      churn_arrivals.resize(trace.size());
+      churn_fct.assign(trace.size(), -1.0);
+      churn_wait.assign(trace.size(), -1.0);
+      std::fill(rr.begin(), rr.end(), 0);
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        const flow::Session& s = trace[i];
+        ChurnSlot::Entry e;
+        e.at = util::from_seconds(s.at_s);
+        e.segments = std::max<std::int64_t>(
+            1, (s.bytes + sim::kDefaultMss - 1) / sim::kDefaultMss);
+        e.index = i;
+        churn_arrivals[i] = e.at;
+        slot_at[next_slot(s)]->add(e);
+      }
     }
-    sim::FlowId next_flow = kChurnFlowBase;
-    for (std::size_t slot = 0; slot < per_slot.size(); ++slot) {
-      if (per_slot[slot].empty()) continue;
-      const std::size_t ep_idx = slot / spe;
-      const sim::Topology::Endpoint ep = t.endpoint(ep_idx);
-      attach(ep, next_flow++, n + churn_slots.size(), churn_senders,
-             churn_sinks);
-      auto cs = std::make_unique<ChurnSlot>();
-      for (const ChurnSlot::Entry& e : per_slot[slot]) cs->add(e);
-      cs->bind(sched_of(*ep.tx), *churn_senders.back(), churn_fct.data(),
-               churn_wait.data(), spec.warmup);
-      churn_slot_endpoint.push_back(ep_idx);
-      churn_slots.push_back(std::move(cs));
+    for (std::size_t k = 0; k < churn_slots.size(); ++k) {
+      const sim::Topology::Endpoint ep = t.endpoint(churn_slot_endpoint[k]);
+      attach(ep, kChurnFlowBase + k, n + k, churn_senders, churn_sinks);
+      churn_slots[k]->bind(sched_of(*ep.tx), *churn_senders.back(),
+                           churn_fct.data(), churn_wait.data(), spec.warmup);
     }
   }
 

@@ -39,6 +39,8 @@ Link::Link(Scheduler& sched, Node& dst, util::Rate rate,
       pool_(&sched.packet_pool()),
       dst_(dst),
       rate_(rate),
+      segment_tx_(util::transmission_time(kSegmentBytes, rate)),
+      ack_tx_(util::transmission_time(kAckBytes, rate)),
       prop_delay_(prop_delay),
       queue_(std::move(queue)),
       name_(std::move(name)) {
@@ -106,7 +108,11 @@ void Link::send(const Packet& p) {
 void Link::start_transmission(PacketHandle h) {
   busy_ = true;
   const Packet& p = pool_->get(h);
-  const util::Duration tx = util::transmission_time(p.size_bytes, rate_);
+  const util::Duration tx =
+      p.size_bytes == kSegmentBytes ? segment_tx_
+      : p.size_bytes == kAckBytes
+          ? ack_tx_
+          : util::transmission_time(p.size_bytes, rate_);
   busy_time_ += tx;
   tx_end_ = sched_->now() + tx;
   bytes_tx_ += static_cast<std::uint64_t>(p.size_bytes);

@@ -145,6 +145,10 @@ class Link {
   PacketPool* pool_;
   Node& dst_;
   util::Rate rate_;
+  /// transmission_time() of a full segment and of an ACK at rate_,
+  /// computed once: nearly every packet is one or the other.
+  util::Duration segment_tx_;
+  util::Duration ack_tx_;
   util::Duration prop_delay_;
   std::unique_ptr<QueueDisc> queue_;
   std::string name_;

@@ -5,8 +5,8 @@
 namespace phi::sim {
 
 void Node::send(const Packet& p) {
-  Link* const* route = routes_.find(p.dst);
-  Link* link = route != nullptr ? *route : default_route_;
+  Link* link = p.dst < routes_.size() ? routes_[p.dst] : nullptr;
+  if (link == nullptr) link = default_route_;
   if (link == nullptr) {
     ++no_route_drops_;
     return;

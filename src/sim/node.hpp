@@ -16,10 +16,9 @@ namespace phi::sim {
 class Link;
 
 namespace detail {
-/// Tiny association list for the per-packet lookups (route by
-/// destination, agent by flow). Nodes hold at most a few dozen entries,
-/// where a linear scan of a contiguous vector beats hashing — and it is
-/// the forwarding hot path, hit once per packet per hop.
+/// Tiny association list for the per-packet agent lookup by flow. Hosts
+/// hold at most a few dozen agents, where a linear scan of a contiguous
+/// vector beats hashing — and it is hit once per delivered packet.
 template <typename K, typename V>
 class FlatMap {
  public:
@@ -71,8 +70,12 @@ class Node {
   NodeId id() const noexcept { return id_; }
   const std::string& name() const noexcept { return name_; }
 
-  /// Static route: packets for `dst` leave via `link`.
-  void add_route(NodeId dst, Link* link) { routes_.assign(dst, link); }
+  /// Static route: packets for `dst` leave via `link` (replacing any
+  /// earlier route for `dst`).
+  void add_route(NodeId dst, Link* link) {
+    if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1, nullptr);
+    routes_[dst] = link;
+  }
   void set_default_route(Link* link) { default_route_ = link; }
 
   /// Originate or forward a packet from this node. Packets with no
@@ -93,7 +96,10 @@ class Node {
  private:
   NodeId id_;
   std::string name_;
-  detail::FlatMap<NodeId, Link*> routes_;
+  /// Route table indexed by destination NodeId (null: no route). Node
+  /// ids are dense network indices, so this is one load per hop on the
+  /// forwarding hot path.
+  std::vector<Link*> routes_;
   Link* default_route_ = nullptr;
   detail::FlatMap<FlowId, Agent*> agents_;
   std::uint64_t no_route_drops_ = 0;

@@ -60,12 +60,20 @@ ParkingLot::ParkingLot(const ParkingLotConfig& cfg) : cfg_(cfg) {
   }
   cross_senders_.resize(cfg.hops);
   cross_receivers_.resize(cfg.hops);
+  // Cross-traffic host names: "x<hop>-tx<i>" and "x<hop>-rx<i>".
+  const auto cross_name = [](std::size_t h, const char* role,
+                             std::size_t i) {
+    std::string name = "x";
+    name += std::to_string(h);
+    name += role;
+    name += std::to_string(i);
+    return name;
+  };
   for (std::size_t h = 0; h < cfg.hops; ++h) {
     for (std::size_t i = 0; i < cfg.cross_per_hop; ++i) {
-      cross_senders_[h].push_back(&attach_host(
-          h, "x" + std::to_string(h) + "-tx" + std::to_string(i)));
-      cross_receivers_[h].push_back(&attach_host(
-          h + 1, "x" + std::to_string(h) + "-rx" + std::to_string(i)));
+      cross_senders_[h].push_back(&attach_host(h, cross_name(h, "-tx", i)));
+      cross_receivers_[h].push_back(
+          &attach_host(h + 1, cross_name(h, "-rx", i)));
     }
   }
 

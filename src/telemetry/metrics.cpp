@@ -115,7 +115,11 @@ std::string json_labels(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+    out += '"';
+    out += json_escape(k);
+    out += "\":\"";
+    out += json_escape(v);
+    out += '"';
   }
   out += '}';
   return out;
@@ -409,7 +413,14 @@ MetricRegistry& MetricRegistry::global() {
 namespace {
 /// The innermost ScopedRegistry on this thread; null = use global().
 thread_local MetricRegistry* t_current = nullptr;
+thread_local bool t_recording_series = false;
 }  // namespace
+
+bool recording_series() noexcept { return t_recording_series; }
+
+bool set_recording_series(bool on) noexcept {
+  return std::exchange(t_recording_series, on);
+}
 
 MetricRegistry& MetricRegistry::current() noexcept {
   return t_current != nullptr ? *t_current : global();

@@ -255,6 +255,15 @@ class ScopedRegistry {
   MetricRegistry* prev_;
 };
 
+/// Whether this thread is inside a run that records time series (a
+/// scenario run with TelemetrySpec::timeseries_dt > 0). Series that grow
+/// with every control-plane message sample only while it holds, so a
+/// run that records no time series keeps no traffic-sized buffers.
+/// Thread-local, like the installed registry; false by default.
+bool recording_series() noexcept;
+/// Set this thread's switch; returns the previous value.
+bool set_recording_series(bool on) noexcept;
+
 #else  // PHI_TELEMETRY_OFF — the whole API as empty inline stubs.
 
 class Counter {
@@ -347,6 +356,9 @@ class ScopedRegistry {
   ScopedRegistry(const ScopedRegistry&) = delete;
   ScopedRegistry& operator=(const ScopedRegistry&) = delete;
 };
+
+inline bool recording_series() noexcept { return false; }
+inline bool set_recording_series(bool) noexcept { return false; }
 
 #endif  // PHI_TELEMETRY_OFF
 

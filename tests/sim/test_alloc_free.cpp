@@ -26,13 +26,16 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The two counting allocators and the one free behind every delete stay
+// out of line: inlined into a caller, malloc() and free() read to GCC as
+// mismatched with the operator new/delete they implement.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t a) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(a), n ? n : 1) != 0)
@@ -42,17 +45,23 @@ void* operator new(std::size_t n, std::align_val_t a) {
 void* operator new[](std::size_t n, std::align_val_t a) {
   return ::operator new(n, a);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  ::operator delete(p);
 }
 
 namespace phi::sim {

@@ -214,8 +214,9 @@ TEST_P(SchedulerProperty, RandomWorkloadOrdered) {
   EXPECT_EQ(executed.size(), 500u - cancelled);
   for (std::size_t i = 1; i < executed.size(); ++i) {
     ASSERT_LE(executed[i - 1].first, executed[i].first);
-    if (executed[i - 1].first == executed[i].first)
+    if (executed[i - 1].first == executed[i].first) {
       ASSERT_LT(executed[i - 1].second, executed[i].second);
+    }
   }
 }
 

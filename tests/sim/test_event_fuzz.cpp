@@ -126,8 +126,9 @@ TEST_P(SchedulerFuzz, RandomChurnExecutesInFifoTimeOrder) {
   // strictly increasing tie-break order (FIFO at equal times).
   for (std::size_t i = 1; i < executed.size(); ++i) {
     ASSERT_LE(executed[i - 1].time, executed[i].time);
-    if (executed[i - 1].time == executed[i].time)
+    if (executed[i - 1].time == executed[i].time) {
       ASSERT_LT(executed[i - 1].order, executed[i].order);
+    }
   }
 }
 

@@ -133,6 +133,41 @@ TEST(Link, SerializesBackToBack) {
   b.detach(7);
 }
 
+TEST(Link, EveryPacketSizeSerializesForItsTransmissionTime) {
+  // Full segments and ACKs take the link's precomputed serialization
+  // times, any other size the general formula; an awkward rate makes any
+  // difference between the two show up in the nanoseconds.
+  const util::Rate rate = 7.3 * util::kMbps;
+  const util::Duration prop = util::microseconds(3'001);
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  Link& l = net.add_link(a, b, rate, prop, 1'000'000);
+  a.add_route(b.id(), &l);
+
+  struct Probe : Agent {
+    util::Time arrived = -1;
+    Network* net;
+    void on_packet(const Packet&) override { arrived = net->now(); }
+  } probe;
+  probe.net = &net;
+  b.attach(7, &probe);
+
+  util::Time horizon = 0;
+  for (const std::int32_t bytes : {kSegmentBytes, kAckBytes, 777}) {
+    const util::Time sent_at = net.now();
+    Packet p = make_packet(a.id(), b.id(), bytes);
+    p.flow = 7;
+    a.send(p);
+    horizon += util::seconds(1);
+    net.run_until(horizon);
+    EXPECT_EQ(probe.arrived,
+              sent_at + util::transmission_time(bytes, rate) + prop)
+        << bytes << " B";
+  }
+  b.detach(7);
+}
+
 TEST(Link, QueueOverflowDrops) {
   Network net;
   Node& a = net.add_node("a");
@@ -263,6 +298,40 @@ TEST(Node, NoRouteCountsDrop) {
   Node& a = net.add_node("a");
   a.send(make_packet(a.id(), 42));
   EXPECT_EQ(a.no_route_drops(), 1u);
+}
+
+TEST(Node, RoutesOverrideAndFallBackToTheDefault) {
+  Network net;
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  Node& c = net.add_node("c");
+  Link& ab = net.add_link(a, b, 15.0 * util::kMbps, 0, 1'000'000);
+  Link& ac = net.add_link(a, c, 15.0 * util::kMbps, 0, 1'000'000);
+  const NodeId far = c.id() + 1000;  // beyond every routed id
+
+  // Re-adding a route for the same destination replaces the old one.
+  a.add_route(c.id(), &ac);
+  a.add_route(c.id(), &ab);
+  a.send(make_packet(a.id(), c.id()));
+  net.run_until(util::milliseconds(10));
+  EXPECT_EQ(ab.packets_transmitted(), 1u);
+  EXPECT_EQ(ac.packets_transmitted(), 0u);
+
+  // No route and no default route: an unrouted id inside the table and
+  // one beyond it are both dropped and counted.
+  a.send(make_packet(a.id(), b.id()));
+  a.send(make_packet(a.id(), far));
+  EXPECT_EQ(a.no_route_drops(), 2u);
+
+  // With a default route, both take it; routed ids keep their route.
+  a.set_default_route(&ac);
+  a.send(make_packet(a.id(), b.id()));
+  a.send(make_packet(a.id(), far));
+  a.send(make_packet(a.id(), c.id()));
+  net.run_until(util::milliseconds(20));
+  EXPECT_EQ(a.no_route_drops(), 2u);
+  EXPECT_EQ(ac.packets_transmitted(), 2u);
+  EXPECT_EQ(ab.packets_transmitted(), 2u);
 }
 
 TEST(Node, UnclaimedPacketCounted) {

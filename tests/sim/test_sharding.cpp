@@ -77,8 +77,9 @@ TEST(ShardPlanner, DumbbellTwoWayCutIsTheBottleneck) {
   const auto& links = d.net().links();
   ASSERT_EQ(plan.link_cut.size(), links.size());
   for (std::size_t i = 0; i < links.size(); ++i) {
-    if (plan.link_cut[i])
+    if (plan.link_cut[i]) {
       EXPECT_EQ(links[i]->propagation_delay(), util::milliseconds(73));
+    }
   }
   // Every sender lands with its router; every receiver with the other.
   ASSERT_EQ(plan.node_shard.size(), d.net().node_count());

@@ -423,8 +423,9 @@ TEST(ObservabilityStubs, TelemetrySpecFlagsAreHarmless) {
       core::run_cubic_scenario(spec, tcp::CubicParams{});
   EXPECT_DOUBLE_EQ(flagged.throughput_bps, plain.throughput_bps);
   EXPECT_EQ(flagged.connections, plain.connections);
-  if (flagged.capture != nullptr)
+  if (flagged.capture != nullptr) {
     EXPECT_TRUE(flagged.capture->log.events().empty());
+  }
 }
 
 #endif  // PHI_TELEMETRY_OFF
