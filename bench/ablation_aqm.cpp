@@ -17,8 +17,8 @@ namespace {
 core::ScenarioSpec workload(bool red, std::uint64_t seed) {
   core::ScenarioSpec spec = core::presets::paper_dumbbell(12);
   std::get<sim::DumbbellConfig>(spec.topology).queue =
-      red ? sim::DumbbellConfig::Queue::kRedEcn
-          : sim::DumbbellConfig::Queue::kDropTail;
+      red ? sim::QueueKind::kRedEcn
+          : sim::QueueKind::kDropTail;
   spec.ecn = red;
   spec.seed = seed;
   return spec;

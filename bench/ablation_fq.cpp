@@ -21,7 +21,7 @@ using namespace phi;
 namespace {
 
 /// Even senders (tuned) report as group 0, odd ones (default) as group 1.
-core::ScenarioSpec workload(sim::DumbbellConfig::Queue queue,
+core::ScenarioSpec workload(sim::QueueKind queue,
                             std::uint64_t seed) {
   core::ScenarioSpec spec = core::presets::paper_dumbbell(8);
   std::get<sim::DumbbellConfig>(spec.topology).queue = queue;
@@ -38,7 +38,7 @@ struct MixedOutcome {
   double unmodified_rtt = 0;
 };
 
-MixedOutcome run_mixed(sim::DumbbellConfig::Queue queue,
+MixedOutcome run_mixed(sim::QueueKind queue,
                        std::uint64_t seed) {
   const tcp::CubicParams tuned{64, 32, 0.2};  // the Fig.-4 optimum
   const auto m = core::run_scenario(
@@ -72,10 +72,10 @@ int main() {
   std::vector<std::vector<std::string>> csv;
   bench::WallTimer timer;
   double fifo_gap = 0, fq_gap = 0;
-  for (const auto queue : {sim::DumbbellConfig::Queue::kDropTail,
-                           sim::DumbbellConfig::Queue::kFq}) {
+  for (const auto queue : {sim::QueueKind::kDropTail,
+                           sim::QueueKind::kFq}) {
     const char* qname =
-        queue == sim::DumbbellConfig::Queue::kFq ? "DRR fair queueing"
+        queue == sim::QueueKind::kFq ? "DRR fair queueing"
                                                  : "drop-tail FIFO";
     util::RunningStats mt, ut, mr, ur;
     for (int r = 0; r < runs; ++r) {
@@ -98,7 +98,7 @@ int main() {
     row("modified (tuned)", mt, mr);
     row("unmodified (default)", ut, ur);
     const double gap = mt.mean() - ut.mean();
-    if (queue == sim::DumbbellConfig::Queue::kFq) {
+    if (queue == sim::QueueKind::kFq) {
       fq_gap = gap;
     } else {
       fifo_gap = gap;

@@ -37,7 +37,7 @@ StreamOutcome run_call(std::uint64_t seed) {
   net.pairs = 6;
   net.bottleneck_rate = 20.0 * util::kMbps;
   net.rtt = util::milliseconds(80);
-  sim::Dumbbell d(net);
+  sim::GraphTopology d(sim::dumbbell_graph(net));
 
   // Competing bursty TCP traffic on pairs 1..5 produces queue churn.
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
@@ -47,10 +47,10 @@ StreamOutcome run_call(std::uint64_t seed) {
   for (std::size_t i = 1; i < net.pairs; ++i) {
     const sim::FlowId flow = 50 + i;
     senders.push_back(std::make_unique<tcp::TcpSender>(
-        d.scheduler(), d.sender(i), d.receiver(i).id(), flow,
+        d.scheduler(), *d.endpoint(i).tx, d.endpoint(i).rx->id(), flow,
         std::make_unique<tcp::Cubic>(tcp::CubicParams{64, 8, 0.2})));
     sinks.push_back(std::make_unique<tcp::TcpSink>(d.scheduler(),
-                                                   d.receiver(i), flow));
+                                                   *d.endpoint(i).rx, flow));
     tcp::OnOffConfig oc;
     oc.mean_on_bytes = 300e3;
     oc.mean_off_s = 0.8;
@@ -60,8 +60,9 @@ StreamOutcome run_call(std::uint64_t seed) {
   }
 
   // The call: CBR frames every 20 ms on pair 0.
-  sim::CbrSource call(d.scheduler(), d.sender(0), d.receiver(0).id(), 7);
-  sim::CbrReceiver rx(d.scheduler(), d.receiver(0), 7);
+  sim::CbrSource call(d.scheduler(), *d.endpoint(0).tx,
+                      d.endpoint(0).rx->id(), 7);
+  sim::CbrReceiver rx(d.scheduler(), *d.endpoint(0).rx, 7);
   call.start();
   d.net().run_until(util::seconds(40));
   call.stop();

@@ -146,7 +146,7 @@ const std::vector<Preset>& registry() {
     {
       ScenarioSpec s = paper_dumbbell(8);
       auto& net = std::get<sim::DumbbellConfig>(s.topology);
-      net.queue = sim::DumbbellConfig::Queue::kRedEcn;
+      net.queue = sim::QueueKind::kRedEcn;
       s.ecn = true;
       v.push_back({"dumbbell-ecn",
                    "canon dumbbell with RED+ECN at the bottleneck", s});
@@ -407,11 +407,11 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
     }
     if (key == "queue") {
       if (val == "droptail")
-        dumb->queue = sim::DumbbellConfig::Queue::kDropTail;
+        dumb->queue = sim::QueueKind::kDropTail;
       else if (val == "red-ecn")
-        dumb->queue = sim::DumbbellConfig::Queue::kRedEcn;
+        dumb->queue = sim::QueueKind::kRedEcn;
       else if (val == "fq")
-        dumb->queue = sim::DumbbellConfig::Queue::kFq;
+        dumb->queue = sim::QueueKind::kFq;
       else
         return fail(err, "queue wants droptail|red-ecn|fq, got '" + val + "'");
       return true;

@@ -111,7 +111,7 @@ struct ScenarioSpec {
   /// experiments include slow starts by design).
   util::Duration warmup = 0;
   std::uint64_t seed = 1;
-  /// Senders negotiate ECN (pair with DumbbellConfig::Queue::kRedEcn).
+  /// Senders negotiate ECN (pair with sim::QueueKind::kRedEcn).
   bool ecn = false;
   /// When set, the engine offers a FaultInjector built from this config
   /// to the setup hook (LiveScenario::fault_injector) so Phi advisors

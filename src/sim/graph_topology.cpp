@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "sim/fq.hpp"
 #include "util/rng.hpp"
 
 namespace phi::sim {
@@ -17,9 +18,40 @@ TopologyShape graph_shape(const GraphSpec& spec) noexcept {
   s.nodes = spec.nodes.size();
   s.links = 2 * spec.edges.size();
   s.endpoints = spec.endpoints.size();
-  s.paths = 2 * spec.monitored_edges();
+  for (const GraphSpec::Edge& e : spec.edges)
+    s.paths += e.monitored == Monitoring::kBoth      ? 2
+               : e.monitored == Monitoring::kForward ? 1
+                                                     : 0;
   return s;
 }
+
+namespace {
+
+std::unique_ptr<QueueDisc> make_queue(const GraphSpec::Edge& e) {
+  switch (e.queue) {
+    case QueueKind::kRedEcn: {
+      RedQueue::Config red;
+      red.capacity_bytes = e.buffer_bytes;
+      return std::make_unique<RedQueue>(red);
+    }
+    case QueueKind::kFq: {
+      DrrQueue::Config fq;
+      fq.capacity_bytes = e.buffer_bytes;
+      return std::make_unique<DrrQueue>(fq);
+    }
+    case QueueKind::kDropTail:
+      break;
+  }
+  return std::make_unique<DropTailDisc>(e.buffer_bytes);
+}
+
+/// Name every edge "a<->b" after its end nodes.
+void name_by_ends(GraphSpec& g) {
+  for (GraphSpec::Edge& e : g.edges)
+    e.name = g.nodes[e.a] + "<->" + g.nodes[e.b];
+}
+
+}  // namespace
 
 GraphTopology::GraphTopology(GraphSpec spec) : spec_(std::move(spec)) {
   const std::size_t n = spec_.nodes.size();
@@ -36,13 +68,23 @@ GraphTopology::GraphTopology(GraphSpec spec) : spec_(std::move(spec)) {
     nodes_.push_back(&net_.add_node(spec_.nodes[i]));
   fwd_.reserve(spec_.edges.size());
   rev_.reserve(spec_.edges.size());
-  for (const GraphSpec::Edge& e : spec_.edges) {
-    const std::string base =
-        spec_.nodes[e.a] + "<->" + spec_.nodes[e.b];
-    fwd_.push_back(&net_.add_link(*nodes_[e.a], *nodes_[e.b], e.rate,
-                                  e.delay, e.buffer_bytes, base));
-    rev_.push_back(&net_.add_link(*nodes_[e.b], *nodes_[e.a], e.rate,
-                                  e.delay, e.buffer_bytes, base + "-rev"));
+  for (std::size_t i = 0; i < spec_.edges.size(); ++i) {
+    const GraphSpec::Edge& e = spec_.edges[i];
+    Node& a = *nodes_[e.a];
+    Node& b = *nodes_[e.b];
+    fwd_.push_back(
+        &net_.add_link(a, b, e.rate, e.delay, make_queue(e), e.name));
+    rev_.push_back(&net_.add_link(
+        b, a, e.rate, e.delay, make_queue(e),
+        e.name.empty() ? std::string{} : e.name + "-rev"));
+    if (e.jitter > 0) {
+      // Jitter seeds are a function of the edge index, distinct per edge
+      // and direction; edge 0 (the dumbbell's bottleneck) draws from
+      // 0xB0B and 0xB1B, which its jittered goldens depend on.
+      const std::uint64_t seed = 0xB0B + 0x20 * std::uint64_t{i};
+      fwd_.back()->set_jitter(e.jitter, seed);
+      rev_.back()->set_jitter(e.jitter, seed + 0x10);
+    }
   }
   enumerate_paths();
   install_routes();
@@ -55,9 +97,10 @@ Topology::Endpoint GraphTopology::endpoint(std::size_t i) {
 
 void GraphTopology::enumerate_paths() {
   for (std::size_t e = 0; e < spec_.edges.size(); ++e) {
-    if (!spec_.edges[e].monitored) continue;
+    if (spec_.edges[e].monitored == Monitoring::kNone) continue;
     paths_.push_back(fwd_[e]);
-    paths_.push_back(rev_[e]);
+    if (spec_.edges[e].monitored == Monitoring::kBoth)
+      paths_.push_back(rev_[e]);
   }
   monitors_.reserve(paths_.size());
   for (Link* l : paths_)
@@ -67,32 +110,53 @@ void GraphTopology::enumerate_paths() {
 
 void GraphTopology::install_routes() {
   const std::size_t n = spec_.nodes.size();
+  const std::vector<GraphSpec::Edge>& edges = spec_.edges;
   constexpr util::Duration kInf =
       std::numeric_limits<util::Duration>::max();
 
   // Adjacency (undirected view; the duplex edges are symmetric).
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj(n);
-  for (std::size_t e = 0; e < spec_.edges.size(); ++e) {
-    adj[spec_.edges[e].a].emplace_back(spec_.edges[e].b, e);
-    adj[spec_.edges[e].b].emplace_back(spec_.edges[e].a, e);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    adj[edges[e].a].emplace_back(edges[e].b, e);
+    adj[edges[e].b].emplace_back(edges[e].a, e);
   }
+  const auto leaf = [&](std::size_t u) { return adj[u].size() == 1; };
+  const auto out_link = [&](std::size_t u, std::size_t e) {
+    return edges[e].a == u ? fwd_[e] : rev_[e];
+  };
+
+  // A leaf has one way out: a default route, and no per-destination table.
+  for (std::size_t u = 0; u < n; ++u)
+    if (leaf(u)) nodes_[u]->set_default_route(out_link(u, adj[u][0].second));
 
   // Directional link -> path index, for the endpoint bottleneck walk.
-  std::vector<std::size_t> fwd_path(spec_.edges.size(), Topology::kAllPaths);
-  std::vector<std::size_t> rev_path(spec_.edges.size(), Topology::kAllPaths);
+  std::vector<std::size_t> fwd_path(edges.size(), Topology::kAllPaths);
+  std::vector<std::size_t> rev_path(edges.size(), Topology::kAllPaths);
   {
     std::size_t p = 0;
-    for (std::size_t e = 0; e < spec_.edges.size(); ++e) {
-      if (!spec_.edges[e].monitored) continue;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (edges[e].monitored == Monitoring::kNone) continue;
       fwd_path[e] = p++;
-      rev_path[e] = p++;
+      if (edges[e].monitored == Monitoring::kBoth) rev_path[e] = p++;
     }
   }
 
-  std::vector<char> is_dest(n, 0);
-  for (const GraphSpec::EndpointSpec& ep : spec_.endpoints) {
-    is_dest[ep.tx] = 1;  // ACKs route back to the sender
-    is_dest[ep.rx] = 1;
+  // Destinations (ACKs route back to the sender, so both ends of every
+  // endpoint), grouped by the node whose shortest-path labels they read.
+  // Every route to a leaf ends on its one edge, so a leaf's labels are its
+  // neighbour's plus that edge and its next-hop candidates are its
+  // neighbour's: one Dijkstra serves all the leaves of a node.
+  std::vector<std::vector<std::size_t>> dests(n);
+  std::vector<std::vector<std::size_t>> arriving(n);  ///< endpoints by rx
+  {
+    std::vector<char> is_dest(n, 0);
+    for (std::size_t i = 0; i < spec_.endpoints.size(); ++i) {
+      is_dest[spec_.endpoints[i].tx] = 1;
+      is_dest[spec_.endpoints[i].rx] = 1;
+      arriving[spec_.endpoints[i].rx].push_back(i);
+    }
+    for (std::size_t d = 0; d < n; ++d)
+      if (is_dest[d] != 0) dests[leaf(d) ? adj[d][0].first : d].push_back(d);
   }
 
   endpoint_paths_.assign(spec_.endpoints.size(), Topology::kAllPaths);
@@ -100,26 +164,27 @@ void GraphTopology::install_routes() {
 
   std::vector<util::Duration> dist(n);
   std::vector<std::size_t> hops(n);
-  std::vector<std::size_t> next_edge(n);  ///< chosen edge toward dest
+  /// Equal-cost next hops (neighbour, edge) toward the label source.
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> cands(n);
 
-  for (std::size_t d = 0; d < n; ++d) {
-    if (is_dest[d] == 0) continue;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (dests[s].empty()) continue;
 
-    // Dijkstra from `d` (delay-weighted, hop-count tiebreak). The heap
+    // Dijkstra from `s` (delay-weighted, hop-count tiebreak). The heap
     // pops in (delay, hops, node) order, so settling is deterministic.
     std::fill(dist.begin(), dist.end(), kInf);
     std::fill(hops.begin(), hops.end(), std::numeric_limits<std::size_t>::max());
     using Item = std::tuple<util::Duration, std::size_t, std::size_t>;
     std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-    dist[d] = 0;
-    hops[d] = 0;
-    pq.emplace(0, 0, d);
+    dist[s] = 0;
+    hops[s] = 0;
+    pq.emplace(0, 0, s);
     while (!pq.empty()) {
       const auto [du, hu, u] = pq.top();
       pq.pop();
       if (du != dist[u] || hu != hops[u]) continue;
       for (const auto& [v, e] : adj[u]) {
-        const util::Duration dv = du + spec_.edges[e].delay;
+        const util::Duration dv = du + edges[e].delay;
         if (dv < dist[v] || (dv == dist[v] && hu + 1 < hops[v])) {
           dist[v] = dv;
           hops[v] = hu + 1;
@@ -128,52 +193,57 @@ void GraphTopology::install_routes() {
       }
     }
 
-    // Next hop per node: among equal-cost candidates (sorted by
-    // neighbor, then edge), spread by destination id — a pure function
-    // of the graph, and exactly the fat tree's suffix-based ECMP.
+    // Candidates of every non-leaf node, sorted by neighbour, then edge.
     for (std::size_t u = 0; u < n; ++u) {
-      next_edge[u] = std::numeric_limits<std::size_t>::max();
-      if (u == d || dist[u] == kInf) continue;
-      std::vector<std::pair<std::size_t, std::size_t>> cands;
+      cands[u].clear();
+      if (u == s || leaf(u) || dist[u] == kInf) continue;
       for (const auto& [v, e] : adj[u])
-        if (dist[v] != kInf && dist[v] + spec_.edges[e].delay == dist[u] &&
+        if (dist[v] != kInf && dist[v] + edges[e].delay == dist[u] &&
             hops[v] + 1 == hops[u])
-          cands.emplace_back(v, e);
-      if (cands.empty())
+          cands[u].emplace_back(v, e);
+      if (cands[u].empty())
         throw std::logic_error("graph routing: no next hop");
-      std::sort(cands.begin(), cands.end());
-      const auto& [v, e] = cands[d % cands.size()];
-      next_edge[u] = e;
-      Link* out = spec_.edges[e].a == u ? fwd_[e] : rev_[e];
-      nodes_[u]->add_route(nodes_[d]->id(), out);
+      std::sort(cands[u].begin(), cands[u].end());
     }
 
-    // Endpoint bottleneck paths: walk each endpoint whose receiver is
-    // `d` along the just-installed routes and pick the smallest-rate
-    // monitored link it crosses (first on ties).
-    for (std::size_t i = 0; i < spec_.endpoints.size(); ++i) {
-      const GraphSpec::EndpointSpec& ep = spec_.endpoints[i];
-      if (ep.rx != d) continue;
-      std::size_t u = ep.tx;
-      std::size_t best = Topology::kAllPaths;
-      util::Rate best_rate = 0;
-      std::size_t count = 0;
-      while (u != d) {
-        const std::size_t e = next_edge[u];
-        if (e == std::numeric_limits<std::size_t>::max())
+    for (const std::size_t d : dests[s]) {
+      // The edge `u` forwards on toward `d`: a leaf's one edge, the label
+      // source's edge to its leaf `d`, else the candidate picked by `d`'s
+      // own id (not the label source's).
+      const auto next_edge = [&](std::size_t u) {
+        if (leaf(u)) return adj[u][0].second;
+        if (u == s) return adj[d][0].second;
+        if (cands[u].empty())
           throw std::logic_error("graph routing: endpoint unreachable");
-        const bool forward = spec_.edges[e].a == u;
-        const std::size_t p = forward ? fwd_path[e] : rev_path[e];
-        if (p != Topology::kAllPaths &&
-            (best == Topology::kAllPaths || spec_.edges[e].rate < best_rate)) {
-          best = p;
-          best_rate = spec_.edges[e].rate;
+        return cands[u][d % cands[u].size()].second;
+      };
+      for (std::size_t u = 0; u < n; ++u)
+        if (u != d && !leaf(u) && dist[u] != kInf)
+          nodes_[u]->add_route(nodes_[d]->id(), out_link(u, next_edge(u)));
+
+      // Endpoint bottleneck paths: walk each endpoint whose receiver is
+      // `d` along the routes and pick the smallest-rate monitored link it
+      // crosses (first on ties).
+      for (const std::size_t i : arriving[d]) {
+        std::size_t u = spec_.endpoints[i].tx;
+        std::size_t best = Topology::kAllPaths;
+        util::Rate best_rate = 0;
+        std::size_t count = 0;
+        while (u != d) {
+          const std::size_t e = next_edge(u);
+          const bool forward = edges[e].a == u;
+          const std::size_t p = forward ? fwd_path[e] : rev_path[e];
+          if (p != Topology::kAllPaths &&
+              (best == Topology::kAllPaths || edges[e].rate < best_rate)) {
+            best = p;
+            best_rate = edges[e].rate;
+          }
+          u = forward ? edges[e].b : edges[e].a;
+          if (++count > n) throw std::logic_error("graph routing: loop");
         }
-        u = forward ? spec_.edges[e].b : spec_.edges[e].a;
-        if (++count > n) throw std::logic_error("graph routing: loop");
+        endpoint_paths_[i] = best;
+        hop_counts_[i] = count;
       }
-      endpoint_paths_[i] = best;
-      hop_counts_[i] = count;
     }
   }
 }
@@ -221,21 +291,22 @@ GraphSpec fat_tree_graph(const FatTreeConfig& cfg) {
     const std::size_t pod = h / hosts_per_pod;
     const std::size_t rack = (h % hosts_per_pod) / half;
     g.edges.push_back({h, edge_base + pod * half + rack, cfg.host_rate,
-                       cfg.host_delay, buf(cfg.host_rate), false});
+                       cfg.host_delay, buf(cfg.host_rate)});
   }
   for (std::size_t p = 0; p < pods; ++p)
     for (std::size_t j = 0; j < half; ++j)
       for (std::size_t m = 0; m < half; ++m)
         g.edges.push_back({edge_base + p * half + j, agg_base + p * half + m,
                            cfg.fabric_rate, cfg.fabric_delay,
-                           buf(cfg.fabric_rate), false});
+                           buf(cfg.fabric_rate)});
   // Agg m of every pod connects to cores [m*half, (m+1)*half).
   for (std::size_t p = 0; p < pods; ++p)
     for (std::size_t m = 0; m < half; ++m)
       for (std::size_t c = 0; c < half; ++c)
         g.edges.push_back({agg_base + p * half + m,
                            core_base + m * half + c, cfg.core_rate,
-                           cfg.core_delay, buf(cfg.core_rate), true});
+                           cfg.core_delay, buf(cfg.core_rate),
+                           Monitoring::kBoth});
 
   for (std::size_t i = 0; i < hosts; ++i) {
     GraphSpec::EndpointSpec ep;
@@ -244,6 +315,7 @@ GraphSpec fat_tree_graph(const FatTreeConfig& cfg) {
     ep.region = static_cast<int>(i / hosts_per_pod);
     g.endpoints.push_back(ep);
   }
+  name_by_ends(g);
   return g;
 }
 
@@ -280,7 +352,7 @@ GraphSpec wan_graph(const WanGraphConfig& cfg) {
     const auto buffer = static_cast<std::int64_t>(
         cfg.buffer_bdp_multiple *
         static_cast<double>(util::bdp_bytes(rate, rtt_est)));
-    g.edges.push_back({a, b, rate, delay, buffer, true});
+    g.edges.push_back({a, b, rate, delay, buffer, Monitoring::kBoth});
   };
 
   std::set<std::pair<std::size_t, std::size_t>> seen;
@@ -306,8 +378,7 @@ GraphSpec wan_graph(const WanGraphConfig& cfg) {
           util::bdp_bytes(cfg.access_rate, 2 * cfg.max_delay)));
   for (std::size_t h = 0; h < hosts; ++h)
     g.edges.push_back({host_base + h, h / cfg.hosts_per_site,
-                       cfg.access_rate, cfg.access_delay, access_buf,
-                       false});
+                       cfg.access_rate, cfg.access_delay, access_buf});
 
   for (std::size_t i = 0; i < hosts; ++i) {
     GraphSpec::EndpointSpec ep;
@@ -316,6 +387,7 @@ GraphSpec wan_graph(const WanGraphConfig& cfg) {
     ep.region = static_cast<int>(i / cfg.hosts_per_site);
     g.endpoints.push_back(ep);
   }
+  name_by_ends(g);
   return g;
 }
 

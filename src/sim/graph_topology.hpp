@@ -1,10 +1,13 @@
-// graph_topology.hpp — generated topologies. A GraphSpec is a plain
-// adjacency description (nodes, duplex edges, sender/receiver endpoint
+// graph_topology.hpp — the one topology builder. A GraphSpec is a plain
+// adjacency description (nodes, duplex edges with their queueing
+// discipline, jitter and monitored directions, sender/receiver endpoint
 // pairs); GraphTopology builds the Network from it, installs
 // deterministic shortest-path routes with destination-spread ECMP, and
-// exposes every direction of every monitored edge as a sim::Topology
-// path with its own LinkMonitor. Two generators produce GraphSpecs:
+// exposes every monitored link direction as a sim::Topology path with its
+// own LinkMonitor. Four generators produce GraphSpecs:
 //
+//   * dumbbell_graph (sim/topology.hpp) — the paper's Figure-1 dumbbell.
+//   * parking_lot_graph (sim/parking_lot.hpp) — the multi-hop chain.
 //   * fat_tree_graph — the k-ary datacenter fat tree (k pods of k/2 edge
 //     and k/2 agg switches, (k/2)^2 cores, k^3/4 hosts). Core links get
 //     the largest propagation delay, so the shard partitioner's
@@ -15,12 +18,16 @@
 //
 // Everything is a pure function of the config (and an explicit topology
 // seed for the WAN), so equal specs reproduce identical networks, paths
-// and routes — the same determinism contract the canned topologies obey.
+// and routes. Nodes are created in spec order, then links in edge order
+// (a->b, then b->a), then monitors in path order: that order fixes node
+// ids, the shard plan and event sequence numbers, so generators list
+// nodes and edges in a fixed order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +37,14 @@
 
 namespace phi::sim {
 
+/// Queueing discipline of an edge's links: the paper's drop-tail FIFO,
+/// RED+ECN for the AQM ablation, or per-flow DRR fair queueing for the
+/// §3.1 incentive-compatibility counterfactual.
+enum class QueueKind { kDropTail, kRedEcn, kFq };
+
+/// Which directions of an edge become Topology paths with a LinkMonitor.
+enum class Monitoring { kNone, kForward, kBoth };
+
 /// Adjacency description a GraphTopology is built from.
 struct GraphSpec {
   struct Edge {
@@ -37,9 +52,18 @@ struct GraphSpec {
     std::size_t b = 0;  ///< node index
     util::Rate rate = 100.0 * util::kMbps;
     util::Duration delay = util::milliseconds(1);  ///< one way, each direction
-    std::int64_t buffer_bytes = 256 * 1024;
-    /// Both directions of a monitored edge become Topology paths.
-    bool monitored = false;
+    std::int64_t buffer_bytes = 256 * 1024;  ///< queue capacity, per direction
+    /// kForward: the a->b link is a path; kBoth: a->b, then b->a.
+    Monitoring monitored = Monitoring::kNone;
+    /// a->b is named `name` and b->a `name + "-rev"`; empty leaves each
+    /// direction Network::add_link's "src->dst". Names label every
+    /// sim.link.* and sim.monitor.* metric.
+    std::string name{};
+    QueueKind queue = QueueKind::kDropTail;
+    /// Random extra one-way delay in [0, jitter] per packet (reorders
+    /// packets), drawn from its own stream per edge and direction; 0 is
+    /// none.
+    util::Duration jitter = 0;
   };
   struct EndpointSpec {
     std::size_t tx = 0;  ///< node index (host)
@@ -53,18 +77,11 @@ struct GraphSpec {
   util::Duration monitor_interval = util::milliseconds(100);
   const char* klass = "graph";  ///< generator kind ("fat-tree", "wan", ...)
   int regions = 1;
-
-  std::size_t monitored_edges() const noexcept {
-    std::size_t n = 0;
-    for (const Edge& e : edges) n += e.monitored ? 1 : 0;
-    return n;
-  }
 };
 
 /// Node/link/endpoint/path counts implied by a GraphSpec without
-/// building it (the self-describing-artifact satellite): links counts
-/// both directions of every duplex edge; paths counts both directions
-/// of every monitored edge, exactly GraphTopology::path_count().
+/// building it: links counts both directions of every duplex edge; paths
+/// counts every monitored direction, exactly GraphTopology::path_count().
 struct TopologyShape {
   const char* klass = "graph";
   std::size_t nodes = 0;
@@ -75,11 +92,15 @@ struct TopologyShape {
 
 TopologyShape graph_shape(const GraphSpec& spec) noexcept;
 
-/// A fully-routed network built from a GraphSpec. Routing is hop-count
-/// shortest path weighted by propagation delay; among equal-cost next
-/// hops the choice is spread by destination node id (classic
-/// destination-based ECMP — in the fat tree this reproduces the
-/// Al-Fares suffix routing), so it is a pure function of the graph.
+/// A fully-routed network built from a GraphSpec. Routing is shortest
+/// path by propagation delay, fewer hops on ties; among equal-cost next
+/// hops every node picks candidate `d % candidates` for destination id
+/// `d` (destination-based ECMP), so it is a pure function of the graph.
+/// This is not Al-Fares suffix routing: the edge and agg tiers of a fat
+/// tree both split on `d % (k/2)`, so only k/2 of the (k/2)^2 cores carry
+/// traffic (on k=4, cores 1 and 2 carry nothing; ROADMAP item 1a). A leaf
+/// (a node with one edge) gets a default route out of that edge; every
+/// other node gets one route per destination.
 class GraphTopology : public Topology {
  public:
   explicit GraphTopology(GraphSpec spec);
@@ -91,8 +112,9 @@ class GraphTopology : public Topology {
   }
   Endpoint endpoint(std::size_t i) override;
 
-  // Paths: directional monitored links in edge order — path 2m is edge
-  // m's a->b direction, path 2m+1 its b->a direction.
+  // Paths: monitored link directions in edge order, a->b before b->a.
+  // Where every monitored edge is kBoth (fat tree, WAN), path 2m is the
+  // m-th monitored edge's a->b direction and path 2m+1 its b->a.
   std::size_t path_count() const noexcept override { return paths_.size(); }
   Link& path_link(std::size_t p) override { return *paths_.at(p); }
   LinkMonitor& path_monitor(std::size_t p) override {

@@ -3,17 +3,13 @@
 // hop and per-hop "cross" flows loading individual hops. The paper's
 // context is per *path* (§2.2.2: a /24 behind a particular egress); this
 // topology is what makes per-path congestion contexts observable — two
-// hops can carry very different weather.
+// hops can carry very different weather. It is a generated graph:
+// parking_lot_graph() writes the GraphSpec and GraphTopology builds it.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <stdexcept>
-#include <vector>
 
-#include "sim/monitor.hpp"
-#include "sim/network.hpp"
-#include "sim/topology_iface.hpp"
+#include "sim/graph_topology.hpp"
 
 namespace phi::sim {
 
@@ -29,71 +25,14 @@ struct ParkingLotConfig {
   util::Duration monitor_interval = util::milliseconds(100);
 };
 
-class ParkingLot : public Topology {
- public:
-  explicit ParkingLot(const ParkingLotConfig& cfg);
-
-  Network& net() noexcept override { return net_; }
-  Scheduler& scheduler() noexcept { return net_.scheduler(); }
-  const ParkingLotConfig& config() const noexcept { return cfg_; }
-
-  std::size_t hops() const noexcept { return cfg_.hops; }
-
-  // Topology interface. Endpoints are numbered hop-major: cross pair
-  // (h, i) is endpoint h * cross_per_hop + i, and the long flows follow
-  // at hops * cross_per_hop + j. Paths are the hops.
-  std::size_t endpoint_count() const noexcept override {
-    return cfg_.hops * cfg_.cross_per_hop + cfg_.long_flows;
-  }
-  Endpoint endpoint(std::size_t i) override {
-    const std::size_t crosses = cfg_.hops * cfg_.cross_per_hop;
-    if (i < crosses) {
-      const std::size_t h = i / cfg_.cross_per_hop;
-      const std::size_t k = i % cfg_.cross_per_hop;
-      return Endpoint{cross_senders_.at(h).at(k),
-                      cross_receivers_.at(h).at(k)};
-    }
-    const std::size_t j = i - crosses;
-    return Endpoint{long_senders_.at(j), long_receivers_.at(j)};
-  }
-  std::size_t path_count() const noexcept override { return cfg_.hops; }
-  Link& path_link(std::size_t p) override { return *hop_links_.at(p); }
-  LinkMonitor& path_monitor(std::size_t p) override {
-    return *monitors_.at(p);
-  }
-  std::size_t endpoint_path(std::size_t i) const override {
-    const std::size_t crosses = cfg_.hops * cfg_.cross_per_hop;
-    if (i >= endpoint_count()) throw std::out_of_range("endpoint index");
-    return i < crosses ? i / cfg_.cross_per_hop : kAllPaths;
-  }
-
-  Node& long_sender(std::size_t i) { return *long_senders_.at(i); }
-  Node& long_receiver(std::size_t i) { return *long_receivers_.at(i); }
-  Node& cross_sender(std::size_t hop, std::size_t i) {
-    return *cross_senders_.at(hop).at(i);
-  }
-  Node& cross_receiver(std::size_t hop, std::size_t i) {
-    return *cross_receivers_.at(hop).at(i);
-  }
-
-  /// Forward bottleneck link of hop h (router h -> router h+1).
-  Link& hop_link(std::size_t h) { return *hop_links_.at(h); }
-  LinkMonitor& hop_monitor(std::size_t h) { return *monitors_.at(h); }
-
- private:
-  /// Create a host, cable it to `router`, and install routes everywhere.
-  Node& attach_host(std::size_t router_idx, const std::string& name);
-
-  ParkingLotConfig cfg_;
-  Network net_;
-  std::vector<Node*> routers_;
-  std::vector<Link*> hop_links_;      ///< forward, one per hop
-  std::vector<Link*> hop_links_rev_;  ///< reverse, one per hop
-  std::vector<Node*> long_senders_;
-  std::vector<Node*> long_receivers_;
-  std::vector<std::vector<Node*>> cross_senders_;
-  std::vector<std::vector<Node*>> cross_receivers_;
-  std::vector<std::unique_ptr<LinkMonitor>> monitors_;
-};
+/// The parking lot as a graph. Nodes: router0..router<hops>, then the
+/// hosts, each cabled to one router: long-tx<j> (router 0) and long-rx<j>
+/// (the last router) per long flow, then x<h>-tx<i> (router h) and
+/// x<h>-rx<i> (router h+1) hop by hop. Paths are the hops' forward links
+/// "hop<h>" (the reverse is "hop<h>-rev"). Endpoints are hop-major: cross
+/// pair (h, i) is endpoint h * cross_per_hop + i, and the long flows
+/// follow at hops * cross_per_hop + j. Throws std::invalid_argument on
+/// zero hops.
+GraphSpec parking_lot_graph(const ParkingLotConfig& cfg);
 
 }  // namespace phi::sim

@@ -1,100 +1,62 @@
 #include "sim/topology.hpp"
 
 #include <stdexcept>
-
-#include "sim/fq.hpp"
+#include <string>
 
 namespace phi::sim {
 
-util::Duration Dumbbell::one_way_delay() const noexcept {
-  // Two edge hops plus the bottleneck hop, each direction.
-  return cfg_.rtt / 2;
-}
-
-Dumbbell::Dumbbell(const DumbbellConfig& cfg) : cfg_(cfg) {
+GraphSpec dumbbell_graph(const DumbbellConfig& cfg) {
   if (cfg.pairs == 0) throw std::invalid_argument("dumbbell needs >= 1 pair");
-  const util::Duration one_way = cfg.rtt / 2;
-  const util::Duration bottleneck_delay = one_way - 2 * cfg.edge_delay;
+  // Two edge hops plus the bottleneck hop make rtt / 2 each way.
+  const util::Duration bottleneck_delay = cfg.rtt / 2 - 2 * cfg.edge_delay;
   if (bottleneck_delay <= 0)
     throw std::invalid_argument("rtt too small for the edge delays");
 
-  buffer_bytes_ = static_cast<std::int64_t>(
+  const auto buffer_bytes = static_cast<std::int64_t>(
       cfg.buffer_bdp_multiple *
       static_cast<double>(util::bdp_bytes(cfg.bottleneck_rate, cfg.rtt)));
-
-  left_ = &net_.add_node("left-router");
-  right_ = &net_.add_node("right-router");
-
   // Edge links get generous buffers; they are never the constraint.
-  const std::int64_t edge_buf = 10 * buffer_bytes_ + 1'000'000;
+  const std::int64_t edge_buf = 10 * buffer_bytes + 1'000'000;
 
-  auto make_queue = [&]() -> std::unique_ptr<QueueDisc> {
-    if (cfg.queue == DumbbellConfig::Queue::kRedEcn) {
-      RedQueue::Config red;
-      red.capacity_bytes = buffer_bytes_;
-      return std::make_unique<RedQueue>(red);
-    }
-    if (cfg.queue == DumbbellConfig::Queue::kFq) {
-      DrrQueue::Config fq;
-      fq.capacity_bytes = buffer_bytes_;
-      return std::make_unique<DrrQueue>(fq);
-    }
-    return std::make_unique<DropTailDisc>(buffer_bytes_);
-  };
-  bottleneck_ = &net_.add_link(*left_, *right_, cfg.bottleneck_rate,
-                               bottleneck_delay, make_queue(), "bottleneck");
-  bottleneck_rev_ = &net_.add_link(*right_, *left_, cfg.bottleneck_rate,
-                                   bottleneck_delay, make_queue(),
-                                   "bottleneck-rev");
-  if (cfg.bottleneck_jitter > 0) {
-    bottleneck_->set_jitter(cfg.bottleneck_jitter, /*seed=*/0xB0B);
-    bottleneck_rev_->set_jitter(cfg.bottleneck_jitter, /*seed=*/0xB1B);
-  }
-
-  senders_.reserve(cfg.pairs);
-  receivers_.reserve(cfg.pairs);
+  GraphSpec g;
+  g.klass = "dumbbell";
+  g.monitor_interval = cfg.monitor_interval;
+  g.nodes = {"left-router", "right-router"};
+  g.edges.push_back({.a = 0,
+                     .b = 1,
+                     .rate = cfg.bottleneck_rate,
+                     .delay = bottleneck_delay,
+                     .buffer_bytes = buffer_bytes,
+                     .monitored = Monitoring::kForward,
+                     .name = "bottleneck",
+                     .queue = cfg.queue,
+                     .jitter = cfg.bottleneck_jitter});
   for (std::size_t i = 0; i < cfg.pairs; ++i) {
-    Node& s = net_.add_node("sender" + std::to_string(i));
-    Node& r = net_.add_node("receiver" + std::to_string(i));
-    Link& s_up = net_.add_link(s, *left_, cfg.edge_rate, cfg.edge_delay,
-                               edge_buf);
-    Link& s_down = net_.add_link(*left_, s, cfg.edge_rate, cfg.edge_delay,
-                                 edge_buf);
-    Link& r_down = net_.add_link(*right_, r, cfg.edge_rate, cfg.edge_delay,
-                                 edge_buf);
-    Link& r_up = net_.add_link(r, *right_, cfg.edge_rate, cfg.edge_delay,
-                               edge_buf);
-
-    s.set_default_route(&s_up);
-    r.set_default_route(&r_up);
-    left_->add_route(s.id(), &s_down);
-    right_->add_route(r.id(), &r_down);
-    senders_.push_back(&s);
-    receivers_.push_back(&r);
+    const std::size_t s = g.nodes.size();
+    g.nodes.push_back("sender" + std::to_string(i));
+    g.nodes.push_back("receiver" + std::to_string(i));
+    g.edges.push_back({s, 0, cfg.edge_rate, cfg.edge_delay, edge_buf});
+    g.edges.push_back({1, s + 1, cfg.edge_rate, cfg.edge_delay, edge_buf});
+    g.endpoints.push_back({.tx = s, .rx = s + 1});
   }
-  // Anything the routers don't know locally crosses the bottleneck.
-  left_->set_default_route(bottleneck_);
-  right_->set_default_route(bottleneck_rev_);
-
-  monitor_ = std::make_unique<LinkMonitor>(net_.scheduler(), *bottleneck_,
-                                           cfg.monitor_interval);
+  return g;
 }
 
 std::unique_ptr<Topology> make_topology(const TopologySpec& spec) {
-  return std::visit(
-      [](const auto& cfg) -> std::unique_ptr<Topology> {
+  return std::make_unique<GraphTopology>(std::visit(
+      [](const auto& cfg) -> GraphSpec {
         using T = std::decay_t<decltype(cfg)>;
         if constexpr (std::is_same_v<T, DumbbellConfig>) {
-          return std::make_unique<Dumbbell>(cfg);
+          return dumbbell_graph(cfg);
         } else if constexpr (std::is_same_v<T, ParkingLotConfig>) {
-          return std::make_unique<ParkingLot>(cfg);
+          return parking_lot_graph(cfg);
         } else if constexpr (std::is_same_v<T, FatTreeConfig>) {
-          return std::make_unique<GraphTopology>(fat_tree_graph(cfg));
+          return fat_tree_graph(cfg);
         } else {
-          return std::make_unique<GraphTopology>(wan_graph(cfg));
+          return wan_graph(cfg);
         }
       },
-      spec);
+      spec));
 }
 
 TopologyShape topology_shape(const TopologySpec& spec) {

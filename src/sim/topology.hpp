@@ -1,20 +1,18 @@
-// topology.hpp — canned topologies. The paper's experiments all run on the
-// Figure-1 dumbbell: N sender/receiver pairs across a single bottleneck
-// whose buffer is 5x the bottleneck bandwidth-delay product. Both the
-// dumbbell and the multi-hop parking lot implement the sim::Topology
-// interface, and a TopologySpec variant constructs either — the scenario
-// engine is topology-generic (see docs/SCENARIOS.md).
+// topology.hpp — the topologies a scenario can name. The paper's
+// experiments all run on the Figure-1 dumbbell: N sender/receiver pairs
+// across a single bottleneck whose buffer is 5x the bottleneck
+// bandwidth-delay product. Every topology is a generated graph: the
+// dumbbell, the parking lot, the fat tree and the WAN each have a
+// GraphSpec generator, and a TopologySpec variant builds any of them as a
+// GraphTopology — the scenario engine is topology-generic (see
+// docs/SCENARIOS.md).
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <stdexcept>
 #include <variant>
-#include <vector>
 
 #include "sim/graph_topology.hpp"
-#include "sim/monitor.hpp"
-#include "sim/network.hpp"
 #include "sim/parking_lot.hpp"
 #include "sim/topology_iface.hpp"
 
@@ -29,82 +27,28 @@ struct DumbbellConfig {
   double buffer_bdp_multiple = 5.0;                   ///< Figure 1
   util::Duration monitor_interval = util::milliseconds(100);
 
-  /// Bottleneck queueing discipline: the paper's drop-tail FIFO, RED+ECN
-  /// for the AQM ablation, or per-flow DRR fair queueing for the §3.1
-  /// incentive-compatibility counterfactual.
-  enum class Queue { kDropTail, kRedEcn, kFq };
-  Queue queue = Queue::kDropTail;
+  /// Bottleneck queueing discipline (both directions).
+  QueueKind queue = QueueKind::kDropTail;
   /// Random extra one-way delay on the bottleneck (reorders packets).
   util::Duration bottleneck_jitter = 0;
 };
 
-/// The Figure-1 dumbbell. Senders index 0..pairs-1; sender i talks to
-/// receiver i. Routing is fully installed; flows just need agents attached
-/// and packets addressed sender(i) -> receiver(i).
-class Dumbbell : public Topology {
- public:
-  explicit Dumbbell(const DumbbellConfig& cfg);
+/// The Figure-1 dumbbell as a graph. Nodes: left-router, right-router,
+/// then sender<i>, receiver<i> per pair; endpoint i is sender i ->
+/// receiver i. The one path is the left->right "bottleneck" link (the
+/// reverse is "bottleneck-rev"), with a buffer of buffer_bdp_multiple x
+/// the bottleneck BDP at `rtt`; each sender <-> left-router and
+/// right-router <-> receiver edge adds edge_delay one way. Throws
+/// std::invalid_argument on zero pairs or an rtt smaller than the edge
+/// delays.
+GraphSpec dumbbell_graph(const DumbbellConfig& cfg);
 
-  Network& net() noexcept override { return net_; }
-  Scheduler& scheduler() noexcept { return net_.scheduler(); }
-
-  Node& sender(std::size_t i) { return *senders_.at(i); }
-  Node& receiver(std::size_t i) { return *receivers_.at(i); }
-  std::size_t pairs() const noexcept { return senders_.size(); }
-
-  Link& bottleneck() noexcept { return *bottleneck_; }
-  LinkMonitor& monitor() noexcept { return *monitor_; }
-
-  // Topology interface: pair i is endpoint i; the single path is the
-  // forward bottleneck.
-  std::size_t endpoint_count() const noexcept override {
-    return senders_.size();
-  }
-  Endpoint endpoint(std::size_t i) override {
-    return Endpoint{senders_.at(i), receivers_.at(i)};
-  }
-  std::size_t path_count() const noexcept override { return 1; }
-  Link& path_link(std::size_t p) override {
-    if (p != 0) throw std::out_of_range("dumbbell has one path");
-    return *bottleneck_;
-  }
-  LinkMonitor& path_monitor(std::size_t p) override {
-    if (p != 0) throw std::out_of_range("dumbbell has one path");
-    return *monitor_;
-  }
-  std::size_t endpoint_path(std::size_t i) const override {
-    if (i >= senders_.size()) throw std::out_of_range("endpoint index");
-    return 0;
-  }
-
-  const DumbbellConfig& config() const noexcept { return cfg_; }
-
-  /// One-way propagation delay sender->receiver implied by the config.
-  util::Duration one_way_delay() const noexcept;
-
-  /// Bottleneck buffer size chosen by the builder (bytes).
-  std::int64_t buffer_bytes() const noexcept { return buffer_bytes_; }
-
- private:
-  DumbbellConfig cfg_;
-  Network net_;
-  std::vector<Node*> senders_;
-  std::vector<Node*> receivers_;
-  Node* left_ = nullptr;
-  Node* right_ = nullptr;
-  Link* bottleneck_ = nullptr;
-  Link* bottleneck_rev_ = nullptr;
-  std::int64_t buffer_bytes_ = 0;
-  std::unique_ptr<LinkMonitor> monitor_;
-};
-
-/// Declarative topology choice: one variant constructs any canned or
-/// generated topology. Scenario specs carry this instead of a concrete
-/// class.
+/// Declarative topology choice: one variant constructs any generated
+/// topology. Scenario specs carry this instead of a concrete class.
 using TopologySpec = std::variant<DumbbellConfig, ParkingLotConfig,
                                   FatTreeConfig, WanGraphConfig>;
 
-/// Build the topology a spec describes.
+/// Build the topology a spec describes (always a GraphTopology).
 std::unique_ptr<Topology> make_topology(const TopologySpec& spec);
 
 /// Endpoint/path counts implied by a spec, without building it.
@@ -117,7 +61,8 @@ const char* topology_class(const TopologySpec& spec) noexcept;
 
 /// Node/link/endpoint/path counts implied by a spec, without building a
 /// Network (and without registering any telemetry) — what run drivers
-/// record in their provenance sidecars.
+/// record in their provenance sidecars. The dumbbell's and the parking
+/// lot's are closed forms, so an invalid spec still has a shape.
 TopologyShape topology_shape(const TopologySpec& spec);
 
 }  // namespace phi::sim

@@ -5,6 +5,7 @@
 // Link and an attached LinkMonitor. The Figure-1 dumbbell is the
 // one-path instance; the parking lot exposes one path per hop, which is
 // what makes per-path congestion contexts observable (§2.2.2).
+// GraphTopology (sim/graph_topology.hpp) is the one implementation.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +25,7 @@ class Topology {
     Node* rx = nullptr;
   };
 
-  /// endpoint_path() result for flows that traverse every path (e.g. the
-  /// parking lot's long flows).
+  /// endpoint_path() result when the route crosses no monitored link.
   static constexpr std::size_t kAllPaths = static_cast<std::size_t>(-1);
 
   virtual ~Topology() = default;
@@ -44,8 +44,9 @@ class Topology {
   virtual Link& path_link(std::size_t p) = 0;
   /// Monitor attached to path `p`'s bottleneck (throws std::out_of_range).
   virtual LinkMonitor& path_monitor(std::size_t p) = 0;
-  /// Which path endpoint `i`'s flow crosses, or kAllPaths when it
-  /// traverses all of them.
+  /// The bottleneck path endpoint `i`'s flow crosses (the smallest-rate
+  /// monitored link on its route, the first one on ties), or kAllPaths
+  /// when the route crosses no monitored link.
   virtual std::size_t endpoint_path(std::size_t i) const = 0;
 };
 

@@ -44,6 +44,10 @@ class BasicSmallFn<R(Args...), N> {
                   alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      // move_from copies the whole buffer; give the bytes past the
+      // capture a value (one store of a compile-time size).
+      if constexpr (sizeof(D) < kInlineBytes)
+        __builtin_memset(buf_ + sizeof(D), 0, kInlineBytes - sizeof(D));
       ops_ = &inline_ops<D>;
     } else {
       *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));

@@ -203,11 +203,12 @@ TEST(LinkOutage, DownedLinkDropsTraffic) {
 TEST(LinkOutage, TcpSurvivesMidTransferOutage) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>(
                             tcp::CubicParams{64, 8, 0.2}));
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   bool done = false;
   tcp::ConnStats stats;
   sender.start_connection(5000, [&](const tcp::ConnStats& s) {
@@ -216,15 +217,15 @@ TEST(LinkOutage, TcpSurvivesMidTransferOutage) {
   });
   // 3-second blackout starting at t=2.
   d.scheduler().schedule_at(util::seconds(2),
-                            [&] { d.bottleneck().set_up(false); });
+                            [&] { d.path_link(0).set_up(false); });
   d.scheduler().schedule_at(util::seconds(5),
-                            [&] { d.bottleneck().set_up(true); });
+                            [&] { d.path_link(0).set_up(true); });
   d.net().run_until(util::seconds(120));
   ASSERT_TRUE(done) << "TCP did not recover from the outage";
   EXPECT_EQ(stats.segments, 5000);
   EXPECT_EQ(sink.next_expected(), 5000);
   EXPECT_GT(stats.timeouts, 0u);  // RTO carried it through
-  EXPECT_GT(d.bottleneck().outage_drops(), 0u);
+  EXPECT_GT(d.path_link(0).outage_drops(), 0u);
 }
 
 TEST(LinkOutage, RtoBackoffSpansLongOutage) {
@@ -232,11 +233,12 @@ TEST(LinkOutage, RtoBackoffSpansLongOutage) {
   // count modest (no retransmit storm) and still recover.
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>(
                             tcp::CubicParams{64, 8, 0.2}));
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   bool done = false;
   tcp::ConnStats stats;
   sender.start_connection(2000, [&](const tcp::ConnStats& s) {
@@ -244,9 +246,9 @@ TEST(LinkOutage, RtoBackoffSpansLongOutage) {
     stats = s;
   });
   d.scheduler().schedule_at(util::seconds(1),
-                            [&] { d.bottleneck().set_up(false); });
+                            [&] { d.path_link(0).set_up(false); });
   d.scheduler().schedule_at(util::seconds(21),
-                            [&] { d.bottleneck().set_up(true); });
+                            [&] { d.path_link(0).set_up(true); });
   d.net().run_until(util::seconds(180));
   ASSERT_TRUE(done);
   // Backoff doubles: ~6-8 probes over 20 s, not hundreds.

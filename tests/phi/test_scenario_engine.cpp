@@ -218,7 +218,7 @@ TEST(ScenarioPresets, OverridesMutateAndValidate) {
   const auto& net = std::get<sim::DumbbellConfig>(spec.topology);
   EXPECT_EQ(net.pairs, 12u);
   EXPECT_DOUBLE_EQ(net.bottleneck_rate, 30.0 * util::kMbps);
-  EXPECT_EQ(net.queue, sim::DumbbellConfig::Queue::kRedEcn);
+  EXPECT_EQ(net.queue, sim::QueueKind::kRedEcn);
 
   // Rejections: unknown key, malformed value, wrong topology class, and
   // shape changes to a preset that pins an explicit sender list.

@@ -125,15 +125,16 @@ TEST(RemyCC, DifferentWhiskersDifferentActions) {
 TEST(RemyCC, DrivesRealTransferEndToEnd) {
   sim::DumbbellConfig net;
   net.pairs = 1;
-  sim::Dumbbell d(net);
+  sim::GraphTopology d(sim::dumbbell_graph(net));
   Action a;
   a.window_multiple = 1.0;
   a.window_increment = 1.0;
   a.intersend_ms = 0.5;
   auto tree = make_tree(a);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<RemyCC>(tree));
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   bool done = false;
   tcp::ConnStats stats;
   sender.start_connection(500, [&](const tcp::ConnStats& s) {

@@ -15,10 +15,10 @@ namespace {
 TEST(Cbr, FramesOnSchedule) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  CbrSource src(d.scheduler(), d.sender(0), d.receiver(0).id(), 5,
+  GraphTopology d(dumbbell_graph(cfg));
+  CbrSource src(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 5,
                 util::milliseconds(20));
-  CbrReceiver rx(d.scheduler(), d.receiver(0), 5);
+  CbrReceiver rx(d.scheduler(), *d.endpoint(0).rx, 5);
   src.start();
   d.net().run_until(util::seconds(10));
   src.stop();
@@ -32,9 +32,9 @@ TEST(Cbr, FramesOnSchedule) {
 TEST(Cbr, QuietPathHasNearZeroJitter) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  CbrSource src(d.scheduler(), d.sender(0), d.receiver(0).id(), 5);
-  CbrReceiver rx(d.scheduler(), d.receiver(0), 5);
+  GraphTopology d(dumbbell_graph(cfg));
+  CbrSource src(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 5);
+  CbrReceiver rx(d.scheduler(), *d.endpoint(0).rx, 5);
   src.start();
   d.net().run_until(util::seconds(5));
   const auto jitter = rx.jitter_ms();
@@ -45,8 +45,8 @@ TEST(Cbr, QuietPathHasNearZeroJitter) {
 TEST(Cbr, StopHaltsEmission) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  CbrSource src(d.scheduler(), d.sender(0), d.receiver(0).id(), 5);
+  GraphTopology d(dumbbell_graph(cfg));
+  CbrSource src(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 5);
   src.start();
   d.net().run_until(util::seconds(1));
   src.stop();
@@ -66,11 +66,12 @@ TEST(LateFraction, CountsExceedances) {
 TEST(SenderTracer, SamplesWindowEvolution) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>(
                             tcp::CubicParams{64, 2, 0.2}));
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   tcp::SenderTracer tracer(d.scheduler(), sender, util::milliseconds(100));
   sender.start_connection(3000, [](const tcp::ConnStats&) {});
   d.net().run_until(util::seconds(10));
@@ -90,10 +91,11 @@ TEST(SenderTracer, SamplesWindowEvolution) {
 TEST(SenderTracer, CsvAndSparkline) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   tcp::SenderTracer tracer(d.scheduler(), sender);
   sender.start_connection(500, [](const tcp::ConnStats&) {});
   d.net().run_until(util::seconds(5));
@@ -113,10 +115,11 @@ TEST(SenderTracer, CsvAndSparkline) {
 TEST(SenderTracer, StopCeasesSampling) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   tcp::SenderTracer tracer(d.scheduler(), sender);
   d.net().run_until(util::seconds(1));
   tracer.stop();

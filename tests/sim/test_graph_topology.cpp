@@ -1,12 +1,14 @@
 // Generated topologies (sim/graph_topology.hpp): fat-tree and WAN shape
-// counts, deterministic ECMP routing, region assignment, bottleneck path
-// mapping, and the TopologySpec variant dispatch that feeds the
-// self-describing run artifacts.
+// counts, deterministic ECMP routing (leaves included), per-edge queue
+// kinds and jitter, region assignment, bottleneck path mapping, and the
+// TopologySpec variant dispatch that feeds the self-describing run
+// artifacts.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 
+#include "sim/fq.hpp"
 #include "sim/graph_topology.hpp"
 #include "sim/topology.hpp"
 
@@ -72,6 +74,86 @@ TEST(GraphTopology, FatTreeEndpointPathIsTheCoreBottleneck) {
     EXPECT_EQ(t.endpoint_hops(i), 6u);
     EXPECT_DOUBLE_EQ(t.path_link(t.endpoint_path(i)).rate(), cfg.core_rate);
   }
+}
+
+TEST(GraphTopology, LeafDestinationsSpreadByTheirOwnId) {
+  // host(0) - top(1) = {mid-a(2), mid-b(3)} = bottom(4) - leaves 5..8.
+  // Every leaf reads bottom's shortest-path labels, but top's two
+  // equal-cost next hops toward leaf d must still be picked by d's own
+  // id: candidates sorted by neighbour, so d % 2 == 0 leaves via mid-a.
+  GraphSpec g;
+  g.nodes = {"host", "top", "mid-a", "mid-b", "bottom",
+             "leaf5", "leaf6", "leaf7", "leaf8"};
+  g.edges.push_back({.a = 0, .b = 1});
+  g.edges.push_back({.a = 1, .b = 2, .name = "top-a"});
+  g.edges.push_back({.a = 1, .b = 3, .name = "top-b"});
+  g.edges.push_back({.a = 2, .b = 4});
+  g.edges.push_back({.a = 3, .b = 4});
+  for (std::size_t leaf = 5; leaf <= 8; ++leaf) {
+    g.edges.push_back({.a = 4, .b = leaf});
+    g.endpoints.push_back({.tx = 0, .rx = leaf});
+  }
+  GraphTopology t(g);
+  const Link& via_a = *t.net().links().at(2);
+  const Link& via_b = *t.net().links().at(4);
+  ASSERT_EQ(via_a.name(), "top-a");
+  ASSERT_EQ(via_b.name(), "top-b");
+
+  struct Probe : Agent {
+    int count = 0;
+    void on_packet(const Packet&) override { ++count; }
+  };
+  for (std::size_t i = 0; i < t.endpoint_count(); ++i) {
+    const Topology::Endpoint ep = t.endpoint(i);
+    Probe probe;
+    ep.rx->attach(1, &probe);
+    const std::uint64_t a_before = via_a.packets_transmitted();
+    const std::uint64_t b_before = via_b.packets_transmitted();
+    Packet p;
+    p.src = ep.tx->id();
+    p.dst = ep.rx->id();
+    p.flow = 1;
+    ep.tx->send(p);
+    t.net().run_until(t.scheduler().now() + util::seconds(1));
+    EXPECT_EQ(probe.count, 1) << ep.rx->name();
+    const bool even = ep.rx->id() % 2 == 0;
+    EXPECT_EQ(via_a.packets_transmitted() - a_before, even ? 1u : 0u)
+        << ep.rx->name();
+    EXPECT_EQ(via_b.packets_transmitted() - b_before, even ? 0u : 1u)
+        << ep.rx->name();
+    EXPECT_EQ(t.endpoint_hops(i), 4u);
+    ep.rx->detach(1);
+  }
+}
+
+TEST(GraphTopology, EdgeQueueKindAndJitterApplyToBothDirections) {
+  GraphSpec g;
+  g.nodes = {"a", "b", "c"};
+  g.edges.push_back({.a = 0,
+                     .b = 1,
+                     .buffer_bytes = 50'000,
+                     .monitored = Monitoring::kBoth,
+                     .queue = QueueKind::kRedEcn,
+                     .jitter = util::milliseconds(3)});
+  g.edges.push_back({.a = 1, .b = 2, .queue = QueueKind::kFq});
+  GraphTopology t(g);
+  const auto& links = t.net().links();
+  ASSERT_EQ(links.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_NE(dynamic_cast<const RedQueue*>(&links[i]->queue()), nullptr);
+    EXPECT_EQ(links[i]->queue().capacity_bytes(), 50'000);
+    EXPECT_EQ(links[i]->jitter(), util::milliseconds(3));
+    EXPECT_NE(dynamic_cast<const DrrQueue*>(&links[2 + i]->queue()), nullptr);
+    EXPECT_EQ(links[2 + i]->jitter(), 0);
+  }
+  // Unnamed edges keep Network::add_link's "src->dst" names.
+  EXPECT_EQ(links[0]->name(), "a->b");
+  EXPECT_EQ(links[1]->name(), "b->a");
+  // kBoth: a->b is path 0, b->a path 1; the unmonitored edge adds none.
+  ASSERT_EQ(t.path_count(), 2u);
+  EXPECT_EQ(&t.path_link(0), links[0].get());
+  EXPECT_EQ(&t.path_link(1), links[1].get());
+  EXPECT_EQ(graph_shape(g).paths, 2u);
 }
 
 TEST(GraphTopology, WanGraphIsAPureFunctionOfItsSeed) {

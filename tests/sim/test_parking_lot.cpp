@@ -12,7 +12,7 @@ namespace {
 TEST(ParkingLot, RejectsZeroHops) {
   ParkingLotConfig cfg;
   cfg.hops = 0;
-  EXPECT_THROW(ParkingLot{cfg}, std::invalid_argument);
+  EXPECT_THROW((void)parking_lot_graph(cfg), std::invalid_argument);
 }
 
 TEST(ParkingLot, LongPathTraversesAllHops) {
@@ -20,7 +20,9 @@ TEST(ParkingLot, LongPathTraversesAllHops) {
   cfg.hops = 3;
   cfg.cross_per_hop = 1;
   cfg.long_flows = 1;
-  ParkingLot lot(cfg);
+  GraphTopology lot(parking_lot_graph(cfg));
+  // The long flow follows the hops * cross_per_hop cross pairs.
+  const Topology::Endpoint longest = lot.endpoint(3);
 
   struct Probe : Agent {
     util::Time arrived = -1;
@@ -28,45 +30,47 @@ TEST(ParkingLot, LongPathTraversesAllHops) {
     void on_packet(const Packet&) override { arrived = sched->now(); }
   } probe;
   probe.sched = &lot.scheduler();
-  lot.long_receiver(0).attach(1, &probe);
+  longest.rx->attach(1, &probe);
 
   Packet p;
-  p.src = lot.long_sender(0).id();
-  p.dst = lot.long_receiver(0).id();
+  p.src = longest.tx->id();
+  p.dst = longest.rx->id();
   p.flow = 1;
-  lot.long_sender(0).send(p);
+  longest.tx->send(p);
   lot.net().run_until(util::seconds(2));
 
   // 3 hops x 20 ms + 2 edges x 1 ms + serialization.
   ASSERT_GE(probe.arrived, util::milliseconds(62));
   EXPECT_LE(probe.arrived, util::milliseconds(70));
-  lot.long_receiver(0).detach(1);
+  longest.rx->detach(1);
 }
 
 TEST(ParkingLot, CrossTrafficUsesOnlyItsHop) {
   ParkingLotConfig cfg;
   cfg.hops = 2;
   cfg.cross_per_hop = 1;
-  ParkingLot lot(cfg);
+  GraphTopology lot(parking_lot_graph(cfg));
+  // Cross pair (hop 1, 0) is endpoint 1 * cross_per_hop + 0.
+  const Topology::Endpoint cross = lot.endpoint(1);
 
   struct Probe : Agent {
     int count = 0;
     void on_packet(const Packet&) override { ++count; }
   } probe;
-  lot.cross_receiver(1, 0).attach(9, &probe);
+  cross.rx->attach(9, &probe);
 
-  const auto hop0_before = lot.hop_link(0).packets_transmitted();
+  const auto hop0_before = lot.path_link(0).packets_transmitted();
   Packet p;
-  p.src = lot.cross_sender(1, 0).id();
-  p.dst = lot.cross_receiver(1, 0).id();
+  p.src = cross.tx->id();
+  p.dst = cross.rx->id();
   p.flow = 9;
-  lot.cross_sender(1, 0).send(p);
+  cross.tx->send(p);
   lot.net().run_until(util::seconds(1));
 
   EXPECT_EQ(probe.count, 1);
-  EXPECT_EQ(lot.hop_link(0).packets_transmitted(), hop0_before);
-  EXPECT_GT(lot.hop_link(1).packets_transmitted(), 0u);
-  lot.cross_receiver(1, 0).detach(9);
+  EXPECT_EQ(lot.path_link(0).packets_transmitted(), hop0_before);
+  EXPECT_GT(lot.path_link(1).packets_transmitted(), 0u);
+  cross.rx->detach(9);
 }
 
 TEST(ParkingLot, ReverseAcksFlow) {
@@ -75,12 +79,12 @@ TEST(ParkingLot, ReverseAcksFlow) {
   cfg.hops = 2;
   cfg.cross_per_hop = 1;
   cfg.long_flows = 1;
-  ParkingLot lot(cfg);
-  tcp::TcpSender sender(lot.scheduler(), lot.long_sender(0),
-                        lot.long_receiver(0).id(), 1,
+  GraphTopology lot(parking_lot_graph(cfg));
+  const Topology::Endpoint longest = lot.endpoint(2);
+  tcp::TcpSender sender(lot.scheduler(), *longest.tx, longest.rx->id(), 1,
                         std::make_unique<tcp::Cubic>(
                             tcp::CubicParams{64, 8, 0.2}));
-  tcp::TcpSink sink(lot.scheduler(), lot.long_receiver(0), 1);
+  tcp::TcpSink sink(lot.scheduler(), *longest.rx, 1);
   bool done = false;
   sender.start_connection(500, [&](const tcp::ConnStats&) { done = true; });
   lot.net().run_until(util::seconds(60));
@@ -92,22 +96,22 @@ TEST(ParkingLot, HopsCarryIndependentLoad) {
   ParkingLotConfig cfg;
   cfg.hops = 2;
   cfg.cross_per_hop = 2;
-  ParkingLot lot(cfg);
+  GraphTopology lot(parking_lot_graph(cfg));
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
   std::vector<std::unique_ptr<tcp::TcpSink>> sinks;
   for (std::size_t i = 0; i < 2; ++i) {
     const FlowId flow = 100 + i;
+    const Topology::Endpoint ep = lot.endpoint(i);  // hop 0's cross pairs
     senders.push_back(std::make_unique<tcp::TcpSender>(
-        lot.scheduler(), lot.cross_sender(0, i),
-        lot.cross_receiver(0, i).id(), flow,
+        lot.scheduler(), *ep.tx, ep.rx->id(), flow,
         std::make_unique<tcp::Cubic>(tcp::CubicParams{64, 8, 0.2})));
-    sinks.push_back(std::make_unique<tcp::TcpSink>(
-        lot.scheduler(), lot.cross_receiver(0, i), flow));
+    sinks.push_back(
+        std::make_unique<tcp::TcpSink>(lot.scheduler(), *ep.rx, flow));
     senders.back()->start_connection(100000, [](const tcp::ConnStats&) {});
   }
   lot.net().run_until(util::seconds(20));
-  EXPECT_GT(lot.hop_monitor(0).recent_utilization(), 0.5);
-  EXPECT_LT(lot.hop_monitor(1).recent_utilization(), 0.05);
+  EXPECT_GT(lot.path_monitor(0).recent_utilization(), 0.5);
+  EXPECT_LT(lot.path_monitor(1).recent_utilization(), 0.05);
 }
 
 }  // namespace

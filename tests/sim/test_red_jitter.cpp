@@ -111,12 +111,13 @@ TEST(RedQueue, AverageTracksOccupancy) {
 TEST(EcnEndToEnd, SenderCutsOnEceWithoutRetransmit) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  cfg.queue = DumbbellConfig::Queue::kRedEcn;
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  cfg.queue = QueueKind::kRedEcn;
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>());
   sender.set_ecn(true);
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
 
   bool done = false;
   tcp::ConnStats stats;
@@ -135,11 +136,12 @@ TEST(EcnEndToEnd, SenderCutsOnEceWithoutRetransmit) {
 TEST(EcnEndToEnd, NonEcnSenderUnaffectedByRedMarks) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
-  cfg.queue = DumbbellConfig::Queue::kRedEcn;
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  cfg.queue = QueueKind::kRedEcn;
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   bool done = false;
   tcp::ConnStats stats;
   sender.start_connection(2000, [&](const tcp::ConnStats& s) {
@@ -215,11 +217,12 @@ TEST(Jitter, ReorderingCausesSpuriousRetransmits) {
   DumbbellConfig cfg;
   cfg.pairs = 1;
   cfg.bottleneck_jitter = util::milliseconds(15);
-  Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  GraphTopology d(dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>(
                             tcp::CubicParams{64, 8, 0.2}));
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   bool done = false;
   sender.start_connection(3000, [&](const tcp::ConnStats&) { done = true; });
   d.net().run_until(util::seconds(120));

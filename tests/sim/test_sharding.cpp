@@ -69,7 +69,7 @@ TEST(ShardPlanner, DumbbellTwoWayCutIsTheBottleneck) {
   // propagation is 150/2 - 2*1 = 73ms. The two-shard cut must be the
   // duplex bottleneck pair (the highest-latency links), giving the
   // widest possible lookahead window.
-  Dumbbell d{DumbbellConfig{.pairs = 4}};
+  GraphTopology d{dumbbell_graph(DumbbellConfig{.pairs = 4})};
   const ShardPlan plan = plan_shards(d.net(), 2);
   ASSERT_EQ(plan.shards, 2);
   EXPECT_EQ(plan.window, util::milliseconds(73));
@@ -83,13 +83,13 @@ TEST(ShardPlanner, DumbbellTwoWayCutIsTheBottleneck) {
   }
   // Every sender lands with its router; every receiver with the other.
   ASSERT_EQ(plan.node_shard.size(), d.net().node_count());
-  for (std::size_t i = 0; i < d.pairs(); ++i) {
-    EXPECT_EQ(plan.node_shard[d.sender(i).id()],
-              plan.node_shard[d.sender(0).id()]);
-    EXPECT_EQ(plan.node_shard[d.receiver(i).id()],
-              plan.node_shard[d.receiver(0).id()]);
-    EXPECT_NE(plan.node_shard[d.sender(i).id()],
-              plan.node_shard[d.receiver(i).id()]);
+  for (std::size_t i = 0; i < d.endpoint_count(); ++i) {
+    EXPECT_EQ(plan.node_shard[d.endpoint(i).tx->id()],
+              plan.node_shard[d.endpoint(0).tx->id()]);
+    EXPECT_EQ(plan.node_shard[d.endpoint(i).rx->id()],
+              plan.node_shard[d.endpoint(0).rx->id()]);
+    EXPECT_NE(plan.node_shard[d.endpoint(i).tx->id()],
+              plan.node_shard[d.endpoint(i).rx->id()]);
   }
 }
 
@@ -248,7 +248,7 @@ TEST(ShardedScenario, EcnRedDumbbellStaysDeterministic) {
   // the most timing-sensitive datapath the dumbbell offers.
   core::ScenarioSpec spec = churn_spec(11, 1);
   auto& cfg = std::get<DumbbellConfig>(spec.topology);
-  cfg.queue = DumbbellConfig::Queue::kRedEcn;
+  cfg.queue = QueueKind::kRedEcn;
   spec.ecn = true;
   const core::ScenarioMetrics serial =
       run_cubic_scenario(spec, tcp::CubicParams{});

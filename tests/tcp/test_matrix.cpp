@@ -89,17 +89,17 @@ TEST_P(TransportMatrix, ExactlyOnceDeliveryAndConservation) {
       cfg.bottleneck_jitter = util::milliseconds(10);
       break;
     case Path::kRedEcn:
-      cfg.queue = sim::DumbbellConfig::Queue::kRedEcn;
+      cfg.queue = sim::QueueKind::kRedEcn;
       break;
     case Path::kDelAck:
     case Path::kSack:
       break;
   }
-  sim::Dumbbell d(cfg);
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
 
-  TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  TcpSender sender(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    make_cc(cc));
-  TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   if (path == Path::kRedEcn) sender.set_ecn(true);
   if (path == Path::kDelAck) sink.set_delayed_ack(2);
   if (path == Path::kSack) {
@@ -108,9 +108,9 @@ TEST_P(TransportMatrix, ExactlyOnceDeliveryAndConservation) {
   }
 
   // Background competitor.
-  TcpSender rival(d.scheduler(), d.sender(1), d.receiver(1).id(), 2,
+  TcpSender rival(d.scheduler(), *d.endpoint(1).tx, d.endpoint(1).rx->id(), 2,
                   std::make_unique<Cubic>());
-  TcpSink rival_sink(d.scheduler(), d.receiver(1), 2);
+  TcpSink rival_sink(d.scheduler(), *d.endpoint(1).rx, 2);
   rival.start_connection(1'000'000, [](const ConnStats&) {});
 
   constexpr std::int64_t kSegments = 1500;
@@ -155,10 +155,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DelayedAck, HalvesAckVolume) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  TcpSender sender(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    std::make_unique<Cubic>(CubicParams{64, 8, 0.2}));
-  TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   sink.set_delayed_ack(2);
   bool done = false;
   sender.start_connection(2000, [&](const ConnStats&) { done = true; });
@@ -172,10 +172,10 @@ TEST(DelayedAck, HalvesAckVolume) {
 TEST(DelayedAck, TimerFlushesLoneSegment) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  TcpSender sender(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    std::make_unique<Cubic>(CubicParams{64, 1, 0.2}));
-  TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   sink.set_delayed_ack(2);
   bool done = false;
   // A single segment: only the delack timer (or FIN rule) can ACK it.

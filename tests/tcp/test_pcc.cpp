@@ -49,10 +49,11 @@ TEST(Pcc, StartupDoublesUntilUtilityDrops) {
 TEST(Pcc, ConvergesNearLinkRateAlone) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<Pcc>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   sender.start_connection(10'000'000, [](const ConnStats&) {});
   d.net().run_until(util::seconds(60));
   const double goodput =
@@ -72,24 +73,26 @@ TEST(Pcc, UtilityKeepsLossModest) {
   // below the knee once converged.
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<Pcc>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   sender.start_connection(10'000'000, [](const ConnStats&) {});
   d.net().run_until(util::seconds(30));
-  d.bottleneck().reset_stats();  // measure steady state only
+  d.path_link(0).reset_stats();  // measure steady state only
   d.net().run_until(util::seconds(60));
-  EXPECT_LT(d.bottleneck().queue().stats().drop_rate(), 0.05);
+  EXPECT_LT(d.path_link(0).queue().stats().drop_rate(), 0.05);
 }
 
 TEST(Pcc, CompletesFixedTransfer) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<Pcc>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   bool done = false;
   ConnStats stats;
   sender.start_connection(3000, [&](const ConnStats& s) {
@@ -105,13 +108,13 @@ TEST(Pcc, CompletesFixedTransfer) {
 TEST(Pcc, SharesWithASecondPccFlow) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 2;
-  sim::Dumbbell d(cfg);
-  tcp::TcpSender a(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  tcp::TcpSender a(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    std::make_unique<Pcc>());
-  tcp::TcpSink sa(d.scheduler(), d.receiver(0), 1);
-  tcp::TcpSender b(d.scheduler(), d.sender(1), d.receiver(1).id(), 2,
+  tcp::TcpSink sa(d.scheduler(), *d.endpoint(0).rx, 1);
+  tcp::TcpSender b(d.scheduler(), *d.endpoint(1).tx, d.endpoint(1).rx->id(), 2,
                    std::make_unique<Pcc>());
-  tcp::TcpSink sb(d.scheduler(), d.receiver(1), 2);
+  tcp::TcpSink sb(d.scheduler(), *d.endpoint(1).rx, 2);
   a.start_connection(10'000'000, [](const ConnStats&) {});
   b.start_connection(10'000'000, [](const ConnStats&) {});
   d.net().run_until(util::seconds(90));

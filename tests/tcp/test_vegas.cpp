@@ -75,14 +75,15 @@ TEST(Vegas, KeepsQueueShorterThanCubic) {
   auto run = [](std::unique_ptr<CongestionControl> cc) {
     sim::DumbbellConfig cfg;
     cfg.pairs = 1;
-    sim::Dumbbell d(cfg);
-    TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+    sim::GraphTopology d(sim::dumbbell_graph(cfg));
+    TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                     d.endpoint(0).rx->id(), 1,
                      std::move(cc));
-    TcpSink sink(d.scheduler(), d.receiver(0), 1);
+    TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
     sender.start_connection(10000, [](const ConnStats&) {});
     d.net().run_until(util::seconds(40));
-    return d.bottleneck().queueing_delay().count() > 0
-               ? d.bottleneck().queueing_delay().mean()
+    return d.path_link(0).queueing_delay().count() > 0
+               ? d.path_link(0).queueing_delay().mean()
                : 0.0;
   };
   const double vegas_q = run(std::make_unique<Vegas>());
@@ -93,10 +94,10 @@ TEST(Vegas, KeepsQueueShorterThanCubic) {
 TEST(Vegas, CompletesTransfersEndToEnd) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  TcpSender sender(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    std::make_unique<Vegas>());
-  TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   bool done = false;
   ConnStats stats;
   sender.start_connection(2000, [&](const ConnStats& s) {

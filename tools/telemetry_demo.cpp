@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   core::ScenarioSpec spec;
   spec.topology = sim::DumbbellConfig{
-      .pairs = 8, .queue = sim::DumbbellConfig::Queue::kRedEcn};
+      .pairs = 8, .queue = sim::QueueKind::kRedEcn};
   spec.workload.mean_on_bytes = 60e3;
   spec.workload.mean_off_s = 0.4;
   spec.duration = util::seconds(30);
