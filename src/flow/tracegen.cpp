@@ -9,6 +9,8 @@ namespace phi::flow {
 SharingAnalysis analyze_trace(const TraceConfig& cfg) {
   util::Rng rng(cfg.seed);
   const util::ZipfSampler zipf(cfg.subnets, cfg.zipf_s);
+  const util::BoundedPareto size(cfg.pareto_alpha, cfg.min_packets,
+                                 cfg.max_packets);
   PacketSampler sampler(cfg.sampling);
   FlowCollector collector;
   SharingAnalysis out;
@@ -24,8 +26,7 @@ SharingAnalysis analyze_trace(const TraceConfig& cfg) {
 
     for (std::uint64_t f = 0; f < flows; ++f) {
       const auto subnet = static_cast<std::uint32_t>(zipf(rng));
-      const auto packets = static_cast<std::uint64_t>(rng.bounded_pareto(
-          cfg.pareto_alpha, cfg.min_packets, cfg.max_packets));
+      const auto packets = static_cast<std::uint64_t>(size(rng));
       ++truth[subnet];
       ++out.total_flows;
       out.total_packets += packets;
@@ -56,27 +57,19 @@ SharingAnalysis analyze_trace(const TraceConfig& cfg) {
   return out;
 }
 
+std::size_t expected_sessions(const SessionConfig& cfg) {
+  if (cfg.arrivals_per_s <= 0 || cfg.horizon_s <= 0 || cfg.ranks == 0)
+    return 0;
+  double n = std::min(cfg.arrivals_per_s * cfg.horizon_s * 1.1 + 16.0, 4e7);
+  if (cfg.max_sessions > 0)
+    n = std::min(n, static_cast<double>(cfg.max_sessions));
+  return static_cast<std::size_t>(n);
+}
+
 std::vector<Session> generate_sessions(const SessionConfig& cfg) {
   std::vector<Session> out;
-  if (cfg.arrivals_per_s <= 0 || cfg.horizon_s <= 0 || cfg.ranks == 0)
-    return out;
-  util::Rng rng(cfg.seed);
-  const util::ZipfSampler zipf(cfg.ranks, cfg.zipf_s);
-  const double mean_gap_s = 1.0 / cfg.arrivals_per_s;
-  out.reserve(static_cast<std::size_t>(
-      std::min(cfg.arrivals_per_s * cfg.horizon_s * 1.1 + 16.0, 4e7)));
-  double t = 0;
-  while (true) {
-    t += rng.exponential(mean_gap_s);
-    if (t >= cfg.horizon_s) break;
-    if (cfg.max_sessions > 0 && out.size() >= cfg.max_sessions) break;
-    Session s;
-    s.at_s = t;
-    s.rank = static_cast<std::uint32_t>(zipf(rng));
-    s.bytes = static_cast<std::int64_t>(
-        rng.bounded_pareto(cfg.pareto_alpha, cfg.min_bytes, cfg.max_bytes));
-    out.push_back(s);
-  }
+  out.reserve(expected_sessions(cfg));
+  for_each_session(cfg, [&out](const Session& s) { out.push_back(s); });
   return out;
 }
 

@@ -67,9 +67,39 @@ struct SessionConfig {
   std::uint64_t seed = 1;          ///< derive via util::derive_seed
 };
 
-/// Generate the session trace. A pure function of the config: equal
-/// seeds produce byte-identical traces (draw order is exponential gap,
-/// Zipf rank, Pareto size per session — pinned by test).
+/// Generate the session trace, calling `fn(const Session&)` once per
+/// session in arrival order; nothing is stored. A pure function of the
+/// config: equal seeds produce byte-identical traces (draw order is
+/// exponential gap, Zipf rank, Pareto size per session — pinned by test).
+template <typename Fn>
+void for_each_session(const SessionConfig& cfg, Fn&& fn) {
+  if (cfg.arrivals_per_s <= 0 || cfg.horizon_s <= 0 || cfg.ranks == 0)
+    return;
+  util::Rng rng(cfg.seed);
+  const util::ZipfSampler zipf(cfg.ranks, cfg.zipf_s);
+  const util::BoundedPareto size(cfg.pareto_alpha, cfg.min_bytes,
+                                 cfg.max_bytes);
+  const double mean_gap_s = 1.0 / cfg.arrivals_per_s;
+  std::uint64_t generated = 0;
+  double t = 0;
+  while (true) {
+    t += rng.exponential(mean_gap_s);
+    if (t >= cfg.horizon_s) break;
+    if (cfg.max_sessions > 0 && generated >= cfg.max_sessions) break;
+    Session s;
+    s.at_s = t;
+    s.rank = static_cast<std::uint32_t>(zipf(rng));
+    s.bytes = static_cast<std::int64_t>(size(rng));
+    fn(s);
+    ++generated;
+  }
+}
+
+/// Sessions to reserve for before generating `cfg`'s trace: the Poisson
+/// mean plus 10% and 16, capped at 4e7 and at max_sessions when set.
+std::size_t expected_sessions(const SessionConfig& cfg);
+
+/// The session trace as a vector: for_each_session, collected.
 std::vector<Session> generate_sessions(const SessionConfig& cfg);
 
 }  // namespace phi::flow

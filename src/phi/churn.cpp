@@ -1,30 +1,65 @@
 #include "phi/churn.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace phi::core {
 
 namespace {
 
-/// Nearest-rank percentile over a sorted sample.
-double pct(const std::vector<double>& sorted, double p) {
+/// Nearest-rank percentile over rows sorted by FCT.
+double pct(std::span<const ChurnSessions::Row> sorted, double p) {
   if (sorted.empty()) return 0.0;
   const double rank = p / 100.0 * static_cast<double>(sorted.size());
   std::size_t idx = static_cast<std::size_t>(rank);
   if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
+  return sorted[idx].fct_s;
 }
 
 }  // namespace
 
+void ChurnSessions::reserve(const flow::SessionConfig& cfg) {
+  // The Poisson mean stands in for the count; a trace that overshoots it
+  // past kEnd is caught by append().
+  double expected = cfg.arrivals_per_s * cfg.horizon_s;
+  if (cfg.max_sessions > 0)
+    expected = std::min(expected, static_cast<double>(cfg.max_sessions));
+  if (!(expected < kEnd))
+    throw std::invalid_argument(
+        "churn: arrivals_per_s x horizon exceeds the session table's "
+        "2^32-1 rows (cap the trace with max_sessions)");
+  if (!(cfg.max_bytes <= kMaxBytes))
+    throw std::invalid_argument(
+        "churn: max_bytes exceeds a session row's 2^31-1 segments "
+        "(about 3.1 TB)");
+  rows_.reserve(flow::expected_sessions(cfg));
+}
+
+std::uint32_t ChurnSessions::append(const flow::Session& s,
+                                    std::uint32_t prev) {
+  if (rows_.size() >= kEnd)
+    throw std::invalid_argument(
+        "churn: the trace outgrew the session table's 2^32-1 rows");
+  if (!(static_cast<double>(s.bytes) <= kMaxBytes))
+    throw std::invalid_argument(
+        "churn: a session exceeds a row's 2^31-1 segments");
+  Row r;
+  r.at = util::from_seconds(s.at_s);
+  r.segments = static_cast<std::int32_t>(std::max<std::int64_t>(
+      1, (s.bytes + sim::kDefaultMss - 1) / sim::kDefaultMss));
+  const auto i = static_cast<std::uint32_t>(rows_.size());
+  rows_.push_back(r);
+  if (prev != kEnd) rows_[prev].next = i;
+  return i;
+}
+
 ChurnMetrics aggregate_churn(
     const std::vector<std::unique_ptr<ChurnSlot>>& slots,
-    const std::vector<util::Time>& arrivals,
-    const std::vector<double>& fct_s, const std::vector<double>& wait_s,
-    util::Time measure_from, double duration_s) {
+    ChurnSessions& sessions, util::Time measure_from, double duration_s) {
   ChurnMetrics m;
   m.enabled = true;
-  m.offered = arrivals.size();
+  const std::span<ChurnSessions::Row> rows = sessions.rows();
+  m.offered = rows.size();
 
   tcp::ConnTotals measured;
   for (const auto& slot : slots) {
@@ -37,26 +72,28 @@ ChurnMetrics aggregate_churn(
   m.retransmits = measured.retransmits;
   m.timeouts = measured.timeouts;
 
-  std::vector<double> fct;
-  fct.reserve(arrivals.size());
+  // Sum in row order, and move each measured FCT down into the front
+  // rows (never past the row being read).
+  std::size_t n = 0;
   double fct_sum = 0, wait_sum = 0;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    if (arrivals[i] < measure_from || fct_s[i] < 0) continue;
-    fct.push_back(fct_s[i]);
-    fct_sum += fct_s[i];
-    if (wait_s[i] > 0) {
-      wait_sum += wait_s[i];
+  for (const ChurnSessions::Row& r : rows) {
+    if (r.at < measure_from || r.fct_s < 0) continue;
+    fct_sum += r.fct_s;
+    if (r.wait_s > 0) {
+      wait_sum += r.wait_s;
       ++m.deferred;
     }
+    rows[n++].fct_s = r.fct_s;
   }
-  m.measured = fct.size();
-  if (!fct.empty()) {
-    std::sort(fct.begin(), fct.end());
+  m.measured = n;
+  if (n > 0) {
+    const std::span<ChurnSessions::Row> fct = rows.first(n);
+    std::ranges::sort(fct, {}, &ChurnSessions::Row::fct_s);
     m.fct_p50_s = pct(fct, 50);
     m.fct_p90_s = pct(fct, 90);
     m.fct_p99_s = pct(fct, 99);
-    m.fct_mean_s = fct_sum / static_cast<double>(fct.size());
-    m.wait_mean_s = wait_sum / static_cast<double>(fct.size());
+    m.fct_mean_s = fct_sum / static_cast<double>(n);
+    m.wait_mean_s = wait_sum / static_cast<double>(n);
   }
   return m;
 }

@@ -8,25 +8,35 @@
 // is exactly the regime where a shared context server has something to
 // say that per-connection probing cannot learn in time.
 //
-// Determinism: the whole session trace is pregenerated at setup from
+// Determinism: the whole session trace is generated at setup from
 // util::derive_seed(spec.seed, kChurnStream) on the main thread, so the
-// engine's existing per-sender seed draws are untouched (all PR 4–8
-// goldens stay byte-identical) and sharded runs see the exact same
-// arrivals as serial runs. Sessions route to a bounded pool of slots —
-// `slots_per_endpoint` per topology endpoint, round-robin per endpoint —
-// and each active slot owns one TcpSender/TcpSink pair for the whole run,
-// replaying its sessions back-to-back in arrival order. An arrival that
-// finds its slot busy queues behind it (the wait is recorded separately
-// from the in-network time), so flow-completion times degrade gracefully
-// under overload instead of the sender population growing without bound.
+// engine's per-sender seed draws are untouched and sharded runs see the
+// exact same arrivals as serial runs.
+//
+// Storage: each session is stored once, as one 32-byte row of a
+// ChurnSessions table in arrival order, generated straight into it.
+// Sessions route to a bounded pool of slots — `slots_per_endpoint` per
+// topology endpoint, round-robin per endpoint — and a slot's rows form a
+// chain through Row::next. Each active slot owns one TcpSender/TcpSink
+// pair for the whole run and walks its chain back to back, writing each
+// session's wait and flow-completion time into the session's row. An
+// arrival that finds its slot busy queues behind it (the wait is recorded
+// separately from the in-network time), so flow-completion times degrade
+// gracefully under overload instead of the sender population growing
+// without bound. After the run, aggregate_churn folds the table into
+// ChurnMetrics in place.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "flow/tracegen.hpp"
 #include "sim/event.hpp"
+#include "sim/packet.hpp"
 #include "tcp/app.hpp"
 #include "tcp/sender.hpp"
 #include "util/units.hpp"
@@ -59,35 +69,76 @@ struct ChurnSpec {
   bool enabled() const noexcept { return arrivals_per_s > 0; }
 };
 
-/// One sender slot replaying its share of the session trace. All state
-/// transitions run on the scheduler that owns the slot's transmit node,
-/// so sharded runs stay race-free; per-session results are written into
-/// caller-owned arrays indexed by global session number (distinct
-/// elements per slot — no cross-thread sharing). Steady-state operation
-/// is allocation-free: sessions are preloaded, the done-callback capture
-/// fits DoneCallback's inline buffer, and timer closures fit SmallFn.
-class ChurnSlot {
+/// Every churn session of one run, each stored once: one 32-byte row per
+/// session, in arrival order. The rows of one slot form a chain through
+/// Row::next, and each slot writes its sessions' results into its own
+/// rows only, so slots on different shards touch disjoint rows. Append
+/// only before the slots start: a reallocation under running shard
+/// threads would race with their row writes.
+class ChurnSessions {
  public:
-  struct Entry {
-    util::Time at = 0;           ///< arrival time
-    std::int64_t segments = 0;   ///< transfer size
-    std::size_t index = 0;       ///< global session number
+  /// Chain end marker; no row has this index.
+  static constexpr std::uint32_t kEnd =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Largest transfer a row can hold: INT32_MAX default-MSS segments.
+  static constexpr double kMaxBytes =
+      static_cast<double>(std::numeric_limits<std::int32_t>::max()) *
+      sim::kDefaultMss;
+
+  struct Row {
+    util::Time at = 0;          ///< arrival time
+    std::int32_t segments = 0;  ///< transfer size in MSS segments
+    std::uint32_t next = kEnd;  ///< next row of the same slot
+    double fct_s = -1;          ///< arrival to last ACK; < 0 until done
+    double wait_s = -1;         ///< arrival to launch; < 0 until launched
   };
 
-  /// Size the session list for `n` sessions before add()ing them.
-  void reserve(std::size_t n) { sessions_.reserve(n); }
-  /// Preload one session; call in arrival order.
-  void add(const Entry& e) { sessions_.push_back(e); }
+  /// Check that every session `cfg` can generate fits a row — fewer than
+  /// kEnd sessions expected, at most kMaxBytes each — and reserve the
+  /// expected count. Throws std::invalid_argument, before anything is
+  /// generated, when they do not fit.
+  void reserve(const flow::SessionConfig& cfg);
 
-  /// Wire the slot to its scheduler/sender and the result arrays.
-  /// Sessions arriving before `measure_from` still run (they are the
-  /// warm-up load) but are excluded from the measured aggregates.
-  void bind(sim::Scheduler& sched, tcp::TcpSender& sender, double* fct_s,
-            double* wait_s, util::Time measure_from) {
+  /// Append `s` as a new row chained after row `prev` (kEnd starts a new
+  /// chain) and return its index. Throws std::invalid_argument when the
+  /// table is full or `s` is larger than kMaxBytes.
+  std::uint32_t append(const flow::Session& s, std::uint32_t prev);
+
+  std::span<Row> rows() noexcept { return rows_; }
+
+ private:
+  std::vector<Row> rows_;
+};
+
+// The row is the engine's whole per-session footprint, paid 10^5–10^6
+// times per run: growing it (or adding interior padding) fails the build
+// instead of silently growing every churn run.
+static_assert(sizeof(ChurnSessions::Row) <= 32,
+              "ChurnSessions::Row outgrew its 32-byte budget");
+
+/// One sender slot walking its chain of the session table. All state
+/// transitions run on the scheduler that owns the slot's transmit node,
+/// so sharded runs stay race-free; each session's results land in its
+/// own row, which no other slot touches. Steady-state operation is
+/// allocation-free: the rows are generated before the run, the
+/// done-callback capture fits DoneCallback's inline buffer, and timer
+/// closures fit SmallFn.
+class ChurnSlot {
+ public:
+  /// The slot whose chain starts at row `first` of `sessions`; the table
+  /// must outlive the slot.
+  ChurnSlot(ChurnSessions& sessions, std::uint32_t first)
+      : sessions_(sessions), cursor_(first) {}
+  ChurnSlot(const ChurnSlot&) = delete;
+  ChurnSlot& operator=(const ChurnSlot&) = delete;
+
+  /// Wire the slot to its scheduler and sender. Sessions arriving before
+  /// `measure_from` still run (they are the warm-up load) but are
+  /// excluded from the measured aggregates.
+  void bind(sim::Scheduler& sched, tcp::TcpSender& sender,
+            util::Time measure_from) {
     sched_ = &sched;
     sender_ = &sender;
-    fct_s_ = fct_s;
-    wait_s_ = wait_s;
     measure_from_ = measure_from;
   }
 
@@ -98,7 +149,6 @@ class ChurnSlot {
   /// Schedule the first session; each completion arms the next.
   void start() { arm_next(); }
 
-  std::size_t offered() const noexcept { return sessions_.size(); }
   std::size_t started() const noexcept { return started_; }
   std::size_t completed() const noexcept { return completed_; }
 
@@ -108,8 +158,8 @@ class ChurnSlot {
 
  private:
   void arm_next() {
-    if (cursor_ >= sessions_.size()) return;
-    const util::Time at = sessions_[cursor_].at;
+    if (cursor_ == ChurnSessions::kEnd) return;
+    const util::Time at = sessions_.rows()[cursor_].at;
     if (at <= sched_->now()) {
       // Never start a connection from inside the completion callback of
       // the previous one: bounce through a zero-delay event so the
@@ -121,33 +171,31 @@ class ChurnSlot {
   }
 
   void launch() {
-    const Entry& e = sessions_[cursor_];
-    wait_s_[e.index] = util::to_seconds(sched_->now() - e.at);
+    ChurnSessions::Row& r = sessions_.rows()[cursor_];
+    r.wait_s = util::to_seconds(sched_->now() - r.at);
     ++started_;
     if (advisor_ != nullptr) advisor_->before_connection(*sender_);
     sender_->start_connection(
-        e.segments, [this](const tcp::ConnStats& s) { on_done(s); });
+        r.segments, [this](const tcp::ConnStats& s) { on_done(s); });
   }
 
   void on_done(const tcp::ConnStats& s) {
-    const Entry& e = sessions_[cursor_];
-    const double fct = util::to_seconds(sched_->now() - e.at);
-    fct_s_[e.index] = fct;
+    ChurnSessions::Row& r = sessions_.rows()[cursor_];
+    const double fct = util::to_seconds(sched_->now() - r.at);
+    r.fct_s = fct;
     ++completed_;
-    if (e.at >= measure_from_) measured_.absorb(s, fct);
+    if (r.at >= measure_from_) measured_.absorb(s, fct);
     if (advisor_ != nullptr) advisor_->after_connection(s, *sender_);
-    ++cursor_;
+    cursor_ = r.next;
     arm_next();
   }
 
+  ChurnSessions& sessions_;
   sim::Scheduler* sched_ = nullptr;
   tcp::TcpSender* sender_ = nullptr;
   tcp::ConnectionAdvisor* advisor_ = nullptr;
-  double* fct_s_ = nullptr;
-  double* wait_s_ = nullptr;
   util::Time measure_from_ = 0;
-  std::vector<Entry> sessions_;
-  std::size_t cursor_ = 0;
+  std::uint32_t cursor_;  ///< the current session's row, or kEnd
   std::size_t started_ = 0;
   std::size_t completed_ = 0;
   tcp::ConnTotals measured_;
@@ -176,14 +224,13 @@ struct ChurnMetrics {
   std::uint64_t timeouts = 0;
 };
 
-/// Fold per-slot aggregates and the per-session result arrays into run
-/// metrics. `arrivals`, `fct_s` and `wait_s` are indexed by global
-/// session number; fct < 0 marks a session still running (or never
-/// started) at run end.
+/// Fold per-slot aggregates and the session table into run metrics; a
+/// row with fct_s < 0 is a session still running (or never started) at
+/// run end. Consumes the table: the measured FCTs are compacted into its
+/// front rows and sorted there for the percentiles, which leaves every
+/// other row field meaningless.
 ChurnMetrics aggregate_churn(
     const std::vector<std::unique_ptr<ChurnSlot>>& slots,
-    const std::vector<util::Time>& arrivals,
-    const std::vector<double>& fct_s, const std::vector<double>& wait_s,
-    util::Time measure_from, double duration_s);
+    ChurnSessions& sessions, util::Time measure_from, double duration_s);
 
 }  // namespace phi::core

@@ -248,15 +248,14 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
                              seeder()));
   }
 
-  // Open-loop churn: pregenerate the whole session trace on the main
-  // thread from a derived seed stream (the seeder above never sees these
-  // draws), bucket sessions onto per-endpoint sender slots round-robin,
-  // and build one sender/sink pair per slot that has work. Every slot's
-  // events run on the scheduler owning its transmit node, and results
-  // land in per-session array elements, so sharded churn stays
-  // deterministic and race-free.
-  std::vector<util::Time> churn_arrivals;
-  std::vector<double> churn_fct, churn_wait;
+  // Open-loop churn: generate the whole session trace on the main thread
+  // from a derived seed stream (the seeder above never sees these draws)
+  // straight into the session table, one row per session, chaining each
+  // row onto its per-endpoint sender slot round-robin; then build one
+  // sender/sink pair per slot that has work. Every slot's events run on
+  // the scheduler owning its transmit node, and results land in the
+  // slot's own rows, so sharded churn stays deterministic and race-free.
+  ChurnSessions churn_sessions;  // before the slots, which point into it
   std::vector<std::unique_ptr<ChurnSlot>> churn_slots;
   std::vector<std::unique_ptr<tcp::TcpSender>> churn_senders;
   std::vector<std::unique_ptr<tcp::TcpSink>> churn_sinks;
@@ -273,51 +272,31 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
     scfg.max_bytes = spec.churn.max_bytes;
     scfg.max_sessions = spec.churn.max_sessions;
     scfg.seed = util::derive_seed(spec.seed, kChurnStream);
-    {
-      const std::vector<flow::Session> trace = flow::generate_sessions(scfg);
-      // Each session is stored once, in its slot, at exactly the size
-      // needed: one pass counts each slot's share of the per-endpoint
-      // round-robin, the slots are sized to it, and a second pass fills
-      // them in trace order.
-      const std::size_t eps = t.endpoint_count();
-      const std::size_t spe =
-          std::max<std::size_t>(1, spec.churn.slots_per_endpoint);
-      std::vector<std::size_t> rr(eps, 0);
-      const auto next_slot = [&](const flow::Session& s) {
-        const std::size_t ep = s.rank % eps;
-        return ep * spe + (rr[ep]++ % spe);
-      };
-      std::vector<std::size_t> slot_sessions(eps * spe, 0);
-      for (const flow::Session& s : trace) ++slot_sessions[next_slot(s)];
-      // Slot index -> its ChurnSlot; null where the trace leaves it idle.
-      std::vector<ChurnSlot*> slot_at(eps * spe, nullptr);
-      for (std::size_t slot = 0; slot < slot_sessions.size(); ++slot) {
-        if (slot_sessions[slot] == 0) continue;
-        churn_slots.push_back(std::make_unique<ChurnSlot>());
-        churn_slots.back()->reserve(slot_sessions[slot]);
-        churn_slot_endpoint.push_back(slot / spe);
-        slot_at[slot] = churn_slots.back().get();
-      }
-      churn_arrivals.resize(trace.size());
-      churn_fct.assign(trace.size(), -1.0);
-      churn_wait.assign(trace.size(), -1.0);
-      std::fill(rr.begin(), rr.end(), 0);
-      for (std::size_t i = 0; i < trace.size(); ++i) {
-        const flow::Session& s = trace[i];
-        ChurnSlot::Entry e;
-        e.at = util::from_seconds(s.at_s);
-        e.segments = std::max<std::int64_t>(
-            1, (s.bytes + sim::kDefaultMss - 1) / sim::kDefaultMss);
-        e.index = i;
-        churn_arrivals[i] = e.at;
-        slot_at[next_slot(s)]->add(e);
-      }
+    churn_sessions.reserve(scfg);
+    const std::size_t eps = t.endpoint_count();
+    const std::size_t spe =
+        std::max<std::size_t>(1, spec.churn.slots_per_endpoint);
+    std::vector<std::size_t> rr(eps, 0);
+    // Each slot's first and last row; kEnd where the trace leaves it idle.
+    std::vector<std::uint32_t> first(eps * spe, ChurnSessions::kEnd);
+    std::vector<std::uint32_t> last(eps * spe, ChurnSessions::kEnd);
+    flow::for_each_session(scfg, [&](const flow::Session& s) {
+      const std::size_t ep = s.rank % eps;
+      const std::size_t slot = ep * spe + (rr[ep]++ % spe);
+      last[slot] = churn_sessions.append(s, last[slot]);
+      if (first[slot] == ChurnSessions::kEnd) first[slot] = last[slot];
+    });
+    for (std::size_t slot = 0; slot < first.size(); ++slot) {
+      if (first[slot] == ChurnSessions::kEnd) continue;
+      churn_slots.push_back(
+          std::make_unique<ChurnSlot>(churn_sessions, first[slot]));
+      churn_slot_endpoint.push_back(slot / spe);
     }
     for (std::size_t k = 0; k < churn_slots.size(); ++k) {
       const sim::Topology::Endpoint ep = t.endpoint(churn_slot_endpoint[k]);
       attach(ep, kChurnFlowBase + k, n + k, churn_senders, churn_sinks);
       churn_slots[k]->bind(sched_of(*ep.tx), *churn_senders.back(),
-                           churn_fct.data(), churn_wait.data(), spec.warmup);
+                           spec.warmup);
     }
   }
 
@@ -472,8 +451,8 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
   // completed session counts as one connection whose "on time" is its
   // flow-completion time (arrival to last ACK, slot wait included).
   if (spec.churn.enabled()) {
-    m.churn = aggregate_churn(churn_slots, churn_arrivals, churn_fct,
-                              churn_wait, spec.warmup, dur_s);
+    m.churn = aggregate_churn(churn_slots, churn_sessions, spec.warmup,
+                              dur_s);
     for (const auto& cs : churn_slots) all.merge(cs->measured());
   }
   m.throughput_bps = all.throughput_bps();

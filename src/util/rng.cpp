@@ -61,11 +61,7 @@ double Rng::lognormal(double mu, double sigma) noexcept {
 }
 
 double Rng::bounded_pareto(double alpha, double lo, double hi) noexcept {
-  assert(alpha > 0.0 && lo > 0.0 && hi > lo);
-  const double u = uniform();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+  return BoundedPareto(alpha, lo, hi)(*this);
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
@@ -89,6 +85,18 @@ std::size_t ZipfSampler::operator()(Rng& rng) const noexcept {
 double ZipfSampler::pmf(std::size_t k) const noexcept {
   assert(k < cdf_.size());
   return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+}
+
+BoundedPareto::BoundedPareto(double alpha, double lo, double hi) noexcept
+    : la_(std::pow(lo, alpha)),
+      ha_(std::pow(hi, alpha)),
+      neg_inv_alpha_(-1.0 / alpha) {
+  assert(alpha > 0.0 && lo > 0.0 && hi > lo);
+}
+
+double BoundedPareto::operator()(Rng& rng) const noexcept {
+  const double u = rng.uniform();
+  return std::pow(-(u * ha_ - u * la_ - ha_) / (ha_ * la_), neg_inv_alpha_);
 }
 
 }  // namespace phi::util

@@ -142,4 +142,20 @@ class ZipfSampler {
   std::vector<double> cdf_;  // cumulative, cdf_.back() == 1.0
 };
 
+/// Bounded Pareto on [lo, hi] with shape alpha, by inverse transform from
+/// one uniform draw. lo^alpha, hi^alpha and -1/alpha are fixed per
+/// sampler, so a trace generator pays for them once instead of per draw.
+class BoundedPareto {
+ public:
+  /// alpha > 0, 0 < lo < hi.
+  BoundedPareto(double alpha, double lo, double hi) noexcept;
+
+  double operator()(Rng& rng) const noexcept;
+
+ private:
+  double la_;             // lo^alpha
+  double ha_;             // hi^alpha
+  double neg_inv_alpha_;  // -1/alpha
+};
+
 }  // namespace phi::util

@@ -115,5 +115,42 @@ TEST(TracegenSeeds, MaxSessionsCapsTheTrace) {
   }
 }
 
+TEST(TracegenSeeds, ForEachSessionDrawsGapRankSizeAndMatchesTheVector) {
+  // The visitor is the one generator: the vector form collects exactly
+  // what it visits, and both follow a reference that draws the documented
+  // order (exponential gap, Zipf rank, bounded-Pareto size) by hand.
+  SessionConfig cfg = base_config();
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::uint64_t cap : {0u, 100u}) {
+      cfg.seed = util::derive_seed(seed, 0x6368726EULL);
+      cfg.max_sessions = cap;
+      std::vector<Session> visited;
+      for_each_session(cfg, [&](const Session& s) { visited.push_back(s); });
+
+      std::vector<Session> ref;
+      util::Rng rng(cfg.seed);
+      const util::ZipfSampler zipf(cfg.ranks, cfg.zipf_s);
+      for (double t = rng.exponential(1.0 / cfg.arrivals_per_s);
+           t < cfg.horizon_s && (cap == 0 || ref.size() < cap);
+           t += rng.exponential(1.0 / cfg.arrivals_per_s)) {
+        Session s;
+        s.at_s = t;
+        s.rank = static_cast<std::uint32_t>(zipf(rng));
+        s.bytes = static_cast<std::int64_t>(rng.bounded_pareto(
+            cfg.pareto_alpha, cfg.min_bytes, cfg.max_bytes));
+        ref.push_back(s);
+      }
+
+      ASSERT_GT(visited.size(), 0u);
+      if (cap > 0) {
+        EXPECT_EQ(visited.size(), cap);
+      }
+      EXPECT_TRUE(identical(visited, ref)) << "seed " << seed;
+      EXPECT_TRUE(identical(visited, generate_sessions(cfg)))
+          << "seed " << seed;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace phi::flow

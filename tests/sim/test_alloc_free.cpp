@@ -285,11 +285,11 @@ TEST(ZeroAllocDatapath, TimerChurnDoesNotAllocate) {
 }
 
 TEST(ZeroAllocDatapath, ChurnSteadyStateIsAllocationFree) {
-  // The PR 9 extension: open-loop session churn — a ChurnSlot replaying
-  // preloaded arrivals through a real TCP sender — must stop allocating
-  // once warm. Sessions are preloaded, the done-callback capture fits
-  // DoneCallback's inline buffer, timer closures fit SmallFn, and
-  // per-session results land in caller-owned arrays.
+  // Open-loop session churn — a ChurnSlot walking its chain of the
+  // session table through a real TCP sender — must stop allocating once
+  // warm. The rows are generated before the run, the done-callback
+  // capture fits DoneCallback's inline buffer, timer closures fit
+  // SmallFn, and per-session results land in the table's rows.
   Network net;
   Node& a = net.add_node("tx");
   Node& b = net.add_node("rx");
@@ -304,15 +304,17 @@ TEST(ZeroAllocDatapath, ChurnSteadyStateIsAllocationFree) {
                         std::make_unique<tcp::Cubic>());
 
   constexpr std::size_t kSessions = 400;
-  std::vector<double> fct(kSessions, -1.0);
-  std::vector<double> wait(kSessions, -1.0);
-  phi::core::ChurnSlot slot;
+  phi::core::ChurnSessions table;
+  std::uint32_t last = phi::core::ChurnSessions::kEnd;
   for (std::size_t i = 0; i < kSessions; ++i) {
-    slot.add({static_cast<util::Time>(i) * util::milliseconds(2),
-              /*segments=*/8, i});
+    phi::flow::Session s;
+    s.at_s = util::to_seconds(static_cast<util::Time>(i) *
+                              util::milliseconds(2));
+    s.bytes = 8 * kDefaultMss;  // 8 segments
+    last = table.append(s, last);
   }
-  slot.bind(net.scheduler(), sender, fct.data(), wait.data(),
-            /*measure_from=*/0);
+  phi::core::ChurnSlot slot(table, /*first=*/0);
+  slot.bind(net.scheduler(), sender, /*measure_from=*/0);
   slot.start();
 
   // Warm-up: the first quarter of the trace grows the packet pool, the
@@ -332,7 +334,7 @@ TEST(ZeroAllocDatapath, ChurnSteadyStateIsAllocationFree) {
   EXPECT_EQ(slot.completed(), kSessions);
   EXPECT_GT(slot.completed(), completed_before);
   EXPECT_EQ(allocs_after - allocs_before, 0u);
-  for (std::size_t i = 0; i < kSessions; ++i) EXPECT_GE(fct[i], 0.0);
+  for (const auto& r : table.rows()) EXPECT_GE(r.fct_s, 0.0);
 }
 
 TEST(ZeroAllocDatapath, SackRecoveryUnderLossDoesNotAllocate) {

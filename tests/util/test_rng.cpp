@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -158,6 +160,34 @@ TEST(Rng, BoundedParetoIsHeavyTailed) {
   // Mean far above median; a visible tail beyond 1000x the minimum.
   EXPECT_GT(sum / kN, 10.0);
   EXPECT_GT(big, 50);
+}
+
+TEST(Rng, BoundedParetoSamplerIsBitIdenticalToThePerDrawFormula) {
+  // BoundedPareto computes lo^alpha, hi^alpha and -1/alpha once; each
+  // draw must equal Rng::bounded_pareto and the formula with the powers
+  // taken per draw, bit for bit, or every generated trace would move.
+  struct Shape {
+    double alpha, lo, hi;
+  };
+  for (const Shape& sh : {Shape{1.15, 2920.0, 2e6}, Shape{1.3, 1.0, 1e4}}) {
+    const BoundedPareto sampler(sh.alpha, sh.lo, sh.hi);
+    Rng a(91), b(91), c(91);
+    for (int i = 0; i < 100000; ++i) {
+      const double u = c.uniform();
+      const double la = std::pow(sh.lo, sh.alpha);
+      const double ha = std::pow(sh.hi, sh.alpha);
+      const double ref =
+          std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / sh.alpha);
+      const double x = sampler(a);
+      const double y = b.bounded_pareto(sh.alpha, sh.lo, sh.hi);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x),
+                std::bit_cast<std::uint64_t>(y))
+          << "draw " << i << " alpha " << sh.alpha;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x),
+                std::bit_cast<std::uint64_t>(ref))
+          << "draw " << i << " alpha " << sh.alpha;
+    }
+  }
 }
 
 TEST(Rng, BernoulliProbability) {
