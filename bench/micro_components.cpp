@@ -113,16 +113,15 @@ void BM_SchedulerSameDeadlineStorm(benchmark::State& state) {
 BENCHMARK(BM_SchedulerSameDeadlineStorm)->Arg(64)->Arg(1024);
 
 // Far-future timer churn across wheel levels: re-armed deadlines spread
-// over seconds land on upper wheel levels or the overflow heap, then
-// cascade down as time advances. Exercises placement, cascade, and
-// overflow migration together — the costs a near-future-only bench
-// never sees.
+// over seconds land mostly on wheel levels 1 and 2, then cascade down as
+// time advances. Exercises placement and cascade together — the costs a
+// near-future-only bench never sees.
 void BM_SchedulerCrossLevelChurn(benchmark::State& state) {
   sim::Scheduler s;
   util::Rng rng(0xC0DE);
   long fired = 0;
-  // Keep a working set of timers spanning ~4 s (level 2 / overflow
-  // territory at 1.024 us ticks), advancing time in 1 ms steps.
+  // Keep a working set of timers spanning ~4 s (level 2 at 1.024 us
+  // ticks), advancing time in 1 ms steps.
   constexpr int kTimers = 256;
   std::array<sim::EventId, kTimers> ids{};
   for (auto _ : state) {

@@ -28,6 +28,11 @@ void ChurnSessions::reserve(const flow::SessionConfig& cfg) {
     throw std::invalid_argument(
         "churn: arrivals_per_s x horizon exceeds the session table's "
         "2^32-1 rows (cap the trace with max_sessions)");
+  if (!(cfg.pareto_alpha > 0 && 0 < cfg.min_bytes &&
+        cfg.min_bytes < cfg.max_bytes))
+    throw std::invalid_argument(
+        "churn: flow sizes need pareto_alpha > 0 and 0 < min_bytes < "
+        "max_bytes");
   if (!(cfg.max_bytes <= kMaxBytes))
     throw std::invalid_argument(
         "churn: max_bytes exceeds a session row's 2^31-1 segments "

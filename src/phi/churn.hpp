@@ -94,9 +94,10 @@ class ChurnSessions {
   };
 
   /// Check that every session `cfg` can generate fits a row — fewer than
-  /// kEnd sessions expected, at most kMaxBytes each — and reserve the
-  /// expected count. Throws std::invalid_argument, before anything is
-  /// generated, when they do not fit.
+  /// kEnd sessions expected, at most kMaxBytes each — and that its size
+  /// law is well formed (pareto_alpha > 0, 0 < min_bytes < max_bytes),
+  /// then reserve the expected count. Throws std::invalid_argument,
+  /// before anything is generated, when either check fails.
   void reserve(const flow::SessionConfig& cfg);
 
   /// Append `s` as a new row chained after row `prev` (kEnd starts a new

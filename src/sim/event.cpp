@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <limits>
 
 namespace phi::sim {
 
@@ -11,8 +10,6 @@ namespace {
 /// Below this size the wheel is too small for dead entries to matter;
 /// skipping compaction keeps the common tiny-schedule case allocation-free.
 constexpr std::size_t kCompactFloor = 64;
-/// Tick limit meaning "no horizon": advance() may walk the whole wheel.
-constexpr std::int64_t kNoLimit = std::numeric_limits<std::int64_t>::max();
 /// Initial wheel-node and run-buffer capacities.
 constexpr std::size_t kArenaReserve = 1024;
 constexpr std::size_t kDueReserve = 256;
@@ -101,18 +98,18 @@ void Scheduler::place(const Entry& e) {
   }
   // A level accepts the entry iff the deadline falls inside the level's
   // current rotation; each bucket then holds exactly one tick (level 0)
-  // or one child rotation (outer levels), so scans never wrap.
+  // or one child rotation (outer levels), so scans never wrap. The top
+  // level's one rotation spans the whole clock, so some level always
+  // accepts.
   std::int64_t c = cur_tick_;
-  for (int level = 0; level < kLevels; ++level) {
-    if ((t >> kSlotBits) == (c >> kSlotBits)) {
-      bucket_push(levels_[level], static_cast<std::size_t>(t & kSlotMask), e);
-      return;
-    }
+  int level = 0;
+  while ((t >> kSlotBits) != (c >> kSlotBits)) {
     t >>= kSlotBits;
     c >>= kSlotBits;
+    ++level;
   }
-  overflow_.push_back(e);
-  std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+  assert(level < kLevels);
+  bucket_push(levels_[level], static_cast<std::size_t>(t & kSlotMask), e);
 }
 
 void Scheduler::collect(std::size_t idx) {
@@ -157,72 +154,33 @@ void Scheduler::cascade(int level, std::size_t idx) {
   clear_bit(l, idx);
 }
 
-void Scheduler::migrate_overflow() {
-  const std::int64_t rot = cur_tick_ >> (kLevels * kSlotBits);
-  while (!overflow_.empty() &&
-         ((overflow_.front().time >> kTickShift) >> (kLevels * kSlotBits)) ==
-             rot) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-    const Entry e = overflow_.back();
-    overflow_.pop_back();
-    if (entry_dead(e)) {
-      --entries_;
-      continue;
-    }
-    place(e);
-  }
-}
-
 bool Scheduler::advance(std::int64_t limit_tick) {
   if (entries_ == 0) return false;  // nothing anywhere: skip the scans
   for (;;) {
-    // Next occupied level-0 bucket in the current rotation: that bucket
-    // IS the next pending tick below the outer levels.
-    if (const std::size_t idx = next_bit(levels_[0], cur_tick_ & kSlotMask);
-        idx < kWheelSlots) {
-      const std::int64_t tick = (cur_tick_ & ~kSlotMask) | idx;
-      if (tick > limit_tick) return false;
-      cur_tick_ = tick;
+    // The shallowest level with an occupied bucket after the cursor holds
+    // the next pending tick: every shallower level has exhausted its
+    // rotation. Move the cursor to that bucket's base and empty it into
+    // the run buffer (level 0) or the levels below (outer levels).
+    int level = 0;
+    std::size_t idx = kWheelSlots;
+    for (; level < kLevels; ++level) {
+      idx = next_bit(levels_[level],
+                     (cur_tick_ >> (level * kSlotBits)) & kSlotMask);
+      if (idx < kWheelSlots) break;
+    }
+    if (level == kLevels) return false;
+    const int shift = level * kSlotBits;
+    const std::int64_t base =
+        (((cur_tick_ >> shift) & ~kSlotMask) | static_cast<std::int64_t>(idx))
+        << shift;
+    if (base > limit_tick) return false;
+    cur_tick_ = base;
+    if (level == 0)
       collect(idx);
-      if (!due_.empty()) return true;
-      continue;  // the bucket held only cancelled entries
-    }
-    // Rotation exhausted: pull the next child rotation down from level 1,
-    // then retry (its entries land in level 0 or the run buffer).
-    if (const std::size_t idx =
-            next_bit(levels_[1], (cur_tick_ >> kSlotBits) & kSlotMask);
-        idx < kWheelSlots) {
-      const std::int64_t tick1 = ((cur_tick_ >> kSlotBits) & ~kSlotMask) | idx;
-      if ((tick1 << kSlotBits) > limit_tick) return false;
-      cur_tick_ = tick1 << kSlotBits;
-      cascade(1, idx);
-      if (!due_.empty()) return true;
-      continue;
-    }
-    if (const std::size_t idx =
-            next_bit(levels_[2], (cur_tick_ >> (2 * kSlotBits)) & kSlotMask);
-        idx < kWheelSlots) {
-      const std::int64_t tick2 =
-          ((cur_tick_ >> (2 * kSlotBits)) & ~kSlotMask) | idx;
-      if ((tick2 << (2 * kSlotBits)) > limit_tick) return false;
-      cur_tick_ = tick2 << (2 * kSlotBits);
-      cascade(2, idx);
-      if (!due_.empty()) return true;
-      continue;
-    }
-    // Whole wheel empty: jump straight to the earliest far-future timer
-    // and pull its level-2 rotation in.
-    while (!overflow_.empty() && entry_dead(overflow_.front())) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-      overflow_.pop_back();
-      --entries_;
-    }
-    if (overflow_.empty()) return false;
-    const std::int64_t tick = overflow_.front().time >> kTickShift;
-    if (tick > limit_tick) return false;
-    cur_tick_ = tick;
-    migrate_overflow();
+    else
+      cascade(level, idx);
     if (!due_.empty()) return true;
+    // The bucket held only cancelled entries, or moved them all down.
   }
 }
 
@@ -347,14 +305,9 @@ void Scheduler::maybe_compact() {
       }
     }
   }
-  // The in-place sweeps preserve relative order, so the sorted run
-  // buffer stays sorted; the overflow heap needs re-heapifying.
-  for (std::vector<Entry>* v : {&due_, &overflow_}) {
-    const auto it = std::remove_if(v->begin(), v->end(), dead);
-    removed += static_cast<std::size_t>(v->end() - it);
-    v->erase(it, v->end());
-  }
-  std::make_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+  // Erasing in place preserves relative order, so the sorted run buffer
+  // stays sorted.
+  removed += std::erase_if(due_, dead);
   entries_ -= removed;
   ctr_compactions_->add();
   entries_gauge_->set(static_cast<double>(entries_));
@@ -393,18 +346,6 @@ bool Scheduler::dispatch(const Entry& e) {
   return true;
 }
 
-bool Scheduler::step() {
-  for (;;) {
-    if (due_.empty() && !advance(kNoLimit)) return false;
-    const Entry e = due_.back();
-    due_.pop_back();
-    --entries_;
-    if (!dispatch<false>(e)) continue;
-    ctr_executed_->add();
-    return true;
-  }
-}
-
 template <bool kProfiled>
 std::uint64_t Scheduler::run_loop(Time horizon) {
   const std::uint64_t wall0 = kProfiled ? telemetry::profile_clock_ns() : 0;
@@ -433,8 +374,9 @@ std::uint64_t Scheduler::run_loop(Time horizon) {
   if (ran > 0) ctr_executed_->add(ran);
   entries_gauge_->set(static_cast<double>(entries_));
   due_gauge_->set(static_cast<double>(due_.size()));
-  occupied_gauge_->set(static_cast<double>(
-      levels_[0].occupied + levels_[1].occupied + levels_[2].occupied));
+  std::size_t occupied = 0;
+  for (const Level& l : levels_) occupied += l.occupied;
+  occupied_gauge_->set(static_cast<double>(occupied));
   if constexpr (kProfiled)
     profile_->add_wall(telemetry::profile_clock_ns() - wall0);
   return ran;

@@ -7,6 +7,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -45,16 +46,16 @@ using EventId = std::uint64_t;
 ///   s.schedule_in(util::milliseconds(10), [&]{ ... });
 ///   s.run_until(util::seconds(30));
 ///
-/// Pending events live in a three-level timing wheel tuned to simulation
-/// timescales (1.024 us level-0 ticks; the levels span ~1 ms, ~1.07 s and
-/// ~18 min of lookahead) with an overflow heap for farther timers, so
-/// scheduling is an O(1) bucket append for every realistic deadline —
-/// link serialization, propagation, RTO re-arms — instead of an O(log n)
-/// heap sift. Execution drains one bucket at a time into a small sorted
-/// run buffer keyed (time, insertion sequence) and popped in that order,
-/// which preserves the exact FIFO-for-simultaneous-events
-/// contract of the historical binary-heap implementation: runs are
-/// byte-identical. See docs/DATAPATH.md.
+/// Pending events live in a timing wheel tuned to simulation timescales:
+/// 1.024 us level-0 ticks and 1024 buckets per level, so the levels span
+/// ~1 ms, ~1.07 s, ~18 min, ~13 days, ~36 years and the rest of the
+/// 63-bit clock. Scheduling is an O(1) bucket append for every
+/// representable deadline — link serialization, propagation, RTO re-arms,
+/// idle timers — instead of an O(log n) heap sift. Execution drains one
+/// bucket at a time into a small sorted run buffer keyed (time, insertion
+/// sequence) and popped in that order, which preserves the exact
+/// FIFO-for-simultaneous-events contract of the historical binary-heap
+/// implementation: runs are byte-identical. See docs/DATAPATH.md.
 ///
 /// Callbacks live in a slab of generation-tagged slots recycled through a
 /// free list: scheduling is a slot reuse plus a bucket append (no
@@ -79,9 +80,11 @@ class Scheduler {
   /// executes after every event already due — never out of order.
   EventId schedule_at(Time t, util::SmallFn fn);
 
-  /// Schedule `fn` after a delay relative to now().
+  /// Schedule `fn` after a delay relative to now(). A deadline past the
+  /// end of the clock saturates at the largest Time.
   EventId schedule_in(Duration d, util::SmallFn fn) {
-    return schedule_at(now_ + d, std::move(fn));
+    constexpr Time kEnd = std::numeric_limits<Time>::max();
+    return schedule_at(d > kEnd - now_ ? kEnd : now_ + d, std::move(fn));
   }
 
   /// Per-packet fast path: deliver pool packet `h` to `link`'s far end
@@ -150,9 +153,6 @@ class Scheduler {
   /// that was earlier).
   std::uint64_t run_until(Time horizon);
 
-  /// Run a single event if one is pending; returns false when empty.
-  bool step();
-
   /// Attach (or with nullptr detach) an event-loop self-profile: exact
   /// per-kind event counts plus sampled wall-clock per section (see
   /// telemetry/profile.hpp). The caller keeps ownership. Wall-clock
@@ -164,9 +164,9 @@ class Scheduler {
 
   std::size_t pending_count() const noexcept { return live_count_; }
   std::uint64_t executed_count() const noexcept { return executed_; }
-  /// Wheel + run-buffer + overflow entries currently held, live +
-  /// cancelled-but-unswept. Bounded at ~3x pending_count() (plus a small
-  /// floor) by compaction. (Named for the binary-heap era; kept because
+  /// Wheel + run-buffer entries currently held, live + cancelled but
+  /// unswept. Bounded at ~3x pending_count() (plus a small floor) by
+  /// compaction. (Named for the binary-heap era; kept because
   /// harnesses only care about the bound.)
   std::size_t heap_size() const noexcept { return entries_; }
   /// Slots permanently taken out of service because their 32-bit
@@ -237,7 +237,11 @@ class Scheduler {
   static constexpr std::size_t kWheelSlots = std::size_t{1} << kSlotBits;
   static constexpr std::int64_t kSlotMask =
       static_cast<std::int64_t>(kWheelSlots) - 1;
-  static constexpr int kLevels = 3;
+  /// Just enough levels for the top one to cover every representable
+  /// Time: 6 levels of 1024 buckets.
+  static constexpr int kLevels = (63 - kTickShift + kSlotBits - 1) / kSlotBits;
+  static_assert(kTickShift + kLevels * kSlotBits >= 63,
+                "the wheel levels must cover all 63 bits of Time");
   static constexpr std::size_t kBitmapWords = kWheelSlots / 64;
 
   /// Wheel entries live in one node arena shared by every bucket of every
@@ -335,8 +339,8 @@ class Scheduler {
 
   /// File `e` where it belongs for its deadline: the run buffer when its
   /// tick is not after the wheel position, else the shallowest wheel
-  /// level whose span covers it, else the overflow heap. Does not touch
-  /// entries_ (callers account).
+  /// level whose current rotation holds it. Does not touch entries_
+  /// (callers account).
   void place(const Entry& e);
   std::int32_t alloc_node();
   void bucket_push(Level& l, std::size_t idx, const Entry& e);
@@ -344,12 +348,10 @@ class Scheduler {
   /// dropping cancelled callbacks, and sort it (it must be empty on
   /// entry).
   void collect(std::size_t idx);
-  /// Reinsert the contents of bucket `idx` of level `level` (> 0) one
-  /// level down (or into the run buffer at the exact wheel position).
+  /// Reinsert the contents of bucket `idx` of level `level` (> 0) into
+  /// the shallower levels (or into the run buffer at the exact wheel
+  /// position).
   void cascade(int level, std::size_t idx);
-  /// Pull overflow entries whose deadline now falls inside the wheel's
-  /// level-2 span.
-  void migrate_overflow();
   /// Advance the wheel to the next occupied bucket at or before
   /// `limit_tick` and fill the run buffer. Returns false when nothing
   /// remains inside the limit. Only call with an empty run buffer.
@@ -392,9 +394,8 @@ class Scheduler {
   /// about one level-0 tick's worth and is refilled by advance() when
   /// empty.
   std::vector<Entry> due_;
-  std::vector<Entry> overflow_;  ///< min-heap: beyond the level-2 span
-  std::int64_t cur_tick_ = 0;    ///< level-0 tick of the last collected bucket
-  std::size_t entries_ = 0;      ///< total entries held (live + cancelled)
+  std::int64_t cur_tick_ = 0;  ///< level-0 tick of the last collected bucket
+  std::size_t entries_ = 0;    ///< total entries held (live + cancelled)
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // vacated slot indices, LIFO

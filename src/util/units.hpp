@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace phi::util {
@@ -22,8 +23,13 @@ inline constexpr Duration kMillisecond = 1'000'000;
 inline constexpr Duration kSecond = 1'000'000'000;
 
 /// Build a Duration from seconds expressed as a double (e.g. 0.15 → 150 ms).
+/// Values past the Duration range (about ±292 years) saturate at its ends.
 constexpr Duration from_seconds(double s) noexcept {
-  return static_cast<Duration>(s * static_cast<double>(kSecond));
+  const double ns = s * static_cast<double>(kSecond);
+  constexpr double kEnd = 0x1p63;  // first double past the int64 range
+  if (ns >= kEnd) return std::numeric_limits<Duration>::max();
+  if (ns < -kEnd) return std::numeric_limits<Duration>::min();
+  return static_cast<Duration>(ns);
 }
 
 /// Convert a Duration to fractional seconds.

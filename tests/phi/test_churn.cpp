@@ -163,6 +163,12 @@ TEST(Churn, SpecsBeyondTheSessionRowThrowBeforeGenerating) {
   spec = small_churn_spec();
   spec.churn.max_bytes = 1e13;  // 6.8e9 segments
   EXPECT_THROW(run_scenario(spec, cubic()), std::invalid_argument);
+
+  // Swapped size bounds: the bounded Pareto needs min_bytes < max_bytes.
+  spec = small_churn_spec();
+  spec.churn.min_bytes = 3e6;
+  spec.churn.max_bytes = 2e6;
+  EXPECT_THROW(run_scenario(spec, cubic()), std::invalid_argument);
 }
 
 /// `at_ms`-arrival, `segments`-long session for hand-built tables.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -105,12 +106,64 @@ TEST(Scheduler, ClockAdvancesToEventTime) {
   EXPECT_EQ(seen, 77);
 }
 
-TEST(Scheduler, StepReturnsFalseWhenEmpty) {
+TEST(Scheduler, RunUntilReturnsZeroWhenEmpty) {
   Scheduler s;
-  EXPECT_FALSE(s.step());
-  s.schedule_at(0, [] {});
-  EXPECT_TRUE(s.step());
-  EXPECT_FALSE(s.step());
+  EXPECT_EQ(s.run_until(10), 0u);
+  s.schedule_at(20, [] {});
+  EXPECT_EQ(s.run_until(20), 1u);
+  EXPECT_EQ(s.run_until(30), 0u);
+}
+
+TEST(Scheduler, FarFutureDeadlinesRunInOrder) {
+  // Deadlines for the wheel's upper levels: just past the first
+  // ~18-minute rotation (1100 s), an hour (twice: a FIFO tie), a day, a
+  // year (cancelled), and the last two nanoseconds of the clock, whose
+  // tick only the top level holds. Scheduled out of order, they run in
+  // (time, schedule order) like near deadlines do.
+  constexpr util::Time kEnd = std::numeric_limits<util::Time>::max();
+  constexpr util::Time kHour = 3600 * util::kSecond;
+  Scheduler s;
+  std::vector<std::pair<char, util::Time>> order;
+  const auto note = [&](char name) {
+    return [&order, &s, name] { order.emplace_back(name, s.now()); };
+  };
+  s.schedule_at(kEnd, note('Z'));
+  s.schedule_at(24 * kHour, note('D'));
+  s.schedule_at(kHour, note('H'));
+  const EventId year = s.schedule_at(365 * 24 * kHour, note('Y'));
+  s.schedule_at(kEnd - 1, note('E'));
+  s.schedule_at(1100 * util::kSecond, note('R'));
+  s.schedule_at(kHour, note('I'));  // tied with H, scheduled after it
+  ASSERT_TRUE(s.cancel(year));
+
+  EXPECT_EQ(s.run_until(1800 * util::kSecond), 1u);
+  EXPECT_EQ(order, (std::vector<std::pair<char, util::Time>>{
+                       {'R', 1100 * util::kSecond}}));
+  EXPECT_EQ(s.run_until(kEnd), 5u);
+  const std::vector<std::pair<char, util::Time>> want = {
+      {'R', 1100 * util::kSecond}, {'H', kHour},  {'I', kHour},
+      {'D', 24 * kHour},           {'E', kEnd - 1}, {'Z', kEnd}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.heap_size(), 0u);
+  EXPECT_EQ(s.now(), kEnd);
+}
+
+TEST(Scheduler, ScheduleInSaturatesAtTheEndOfTheClock) {
+  // now() + d past the largest Time files at the largest Time; it must
+  // not wrap negative and be clamped to now().
+  constexpr util::Time kEnd = std::numeric_limits<util::Time>::max();
+  Scheduler s;
+  s.run_until(util::kSecond);
+  bool ran = false;
+  const EventId id = s.schedule_in(std::numeric_limits<util::Duration>::max(),
+                                   [&] { ran = true; });
+  s.run_until(kEnd - 1);
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(s.pending(id));
+  s.run_until(kEnd);
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(s.now(), kEnd);
 }
 
 TEST(Scheduler, PendingCountTracksQueue) {

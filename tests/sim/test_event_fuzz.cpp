@@ -4,7 +4,8 @@
 // stable sort of the surviving schedules), and the workload mix is
 // chosen to cross every structural regime of the timing wheel:
 //   - same-timestamp storms (hundreds of events on one deadline),
-//   - deadlines spanning level 0/1/2 and the far-future overflow heap,
+//   - deadlines spanning wheel levels 0 to 4 (microseconds to decades
+//     ahead),
 //   - heavy cancel churn (compaction sweeps),
 //   - pending sets that swing between small and large, so the wheel
 //     drains empty and refills,
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -33,13 +35,16 @@ struct Expected {
 };
 
 // Deadline spans per regime, in ns. Level 0 ticks are 1.024 us and each
-// level covers 10 more bits, so these reach buckets on every level plus
-// the overflow heap.
+// level covers 10 more bits, so these reach buckets on levels 0 to 4.
+// Level 5 holds deadlines in a later 2^60 ns (~36-year) block of the
+// clock than the cursor; Scheduler.FarFutureDeadlinesRunInOrder files
+// two there.
 constexpr util::Time kSpans[] = {
-    1 << 10,            // a handful of level-0 ticks
-    1 << 20,            // level 1
-    1 << 29,            // level 2
-    util::Time{1} << 33,  // beyond the wheel horizon: overflow heap
+    1 << 10,              // a handful of level-0 ticks
+    1 << 20,              // level 1
+    1 << 29,              // level 2
+    util::Time{1} << 45,  // level 3: about 10 hours
+    util::Time{1} << 59,  // level 4: about 18 years
 };
 
 class SchedulerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -63,19 +68,20 @@ TEST_P(SchedulerFuzz, RandomChurnExecutesInFifoTimeOrder) {
 
   // Phase interleaving: bursts of scheduling at mixed horizons, cancel
   // waves, and partial drains, repeated. Partial drains are what force
-  // cascades and overflow migration while events are still pending.
+  // cascades from the upper levels while events are still pending.
   for (int round = 0; round < 6; ++round) {
     // Same-timestamp storm: a burst sharing one exact deadline.
     const util::Time storm_t =
         s.now() + 1 +
-        static_cast<util::Time>(rng.below(static_cast<std::uint64_t>(kSpans[round % 4])));
+        static_cast<util::Time>(rng.below(static_cast<std::uint64_t>(
+            kSpans[round % std::size(kSpans)])));
     const int storm_n = 50 + static_cast<int>(rng.below(250));
     for (int i = 0; i < storm_n; ++i) schedule(storm_t);
     // Scatter across all regimes (the pending set is large some rounds,
     // small in others).
     const int scatter_n = static_cast<int>(rng.below(300));
     for (int i = 0; i < scatter_n; ++i) {
-      const util::Time span = kSpans[rng.below(4)];
+      const util::Time span = kSpans[rng.below(std::size(kSpans))];
       schedule(s.now() + 1 +
                static_cast<util::Time>(rng.below(static_cast<std::uint64_t>(span))));
     }

@@ -69,6 +69,21 @@ TEST(OnOffApp, StopPreventsNewConnections) {
   EXPECT_LE(h.app->totals().connections, count + 1);  // in-flight one
 }
 
+TEST(OnOffApp, OffPeriodPastTheEndOfTheClockNeverLaunches) {
+  // A mean off-period of 10^12 s almost always draws a delay past the
+  // ~292-year range of Time. It must saturate into the far future, not
+  // wrap around to "now" and launch connections back to back. Starting
+  // after now() > 0 checks the deadline sum as well as the conversion.
+  OnOffConfig cfg;
+  cfg.start_with_off = true;
+  cfg.mean_off_s = 1e12;
+  AppHarness h(cfg);
+  h.d.net().run_until(util::seconds(1));
+  h.app->start();
+  h.d.net().run_until(util::seconds(11));
+  EXPECT_EQ(h.app->totals().connections, 0);
+}
+
 TEST(OnOffApp, StartIdempotent) {
   OnOffConfig cfg;
   AppHarness h(cfg);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -16,6 +17,22 @@ TEST(Units, Conversions) {
   EXPECT_EQ(milliseconds(5), 5'000'000);
   EXPECT_EQ(microseconds(3), 3'000);
   EXPECT_EQ(seconds(2), 2'000'000'000);
+}
+
+TEST(Units, FromSecondsSaturatesAtTheDurationRange) {
+  constexpr Duration kMax = std::numeric_limits<Duration>::max();
+  constexpr Duration kMin = std::numeric_limits<Duration>::min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Read through volatile so the conversions run at run time: a compiler
+  // folding a constant out-of-range cast may saturate on its own.
+  const volatile double in[] = {1e12, kInf, -1e12, -kInf, 9e9, -9e9};
+  EXPECT_EQ(from_seconds(in[0]), kMax);  // ~31,700 years
+  EXPECT_EQ(from_seconds(in[1]), kMax);
+  EXPECT_EQ(from_seconds(in[2]), kMin);
+  EXPECT_EQ(from_seconds(in[3]), kMin);
+  // 9e9 s (~285 years) is still in range and converts exactly.
+  EXPECT_EQ(from_seconds(in[4]), 9'000'000'000 * kSecond);
+  EXPECT_EQ(from_seconds(in[5]), -9'000'000'000 * kSecond);
 }
 
 TEST(Units, TransmissionTime) {
