@@ -45,9 +45,10 @@ inline const char* scale_name(Scale s) {
 /// PHI_BENCH_JOBS caps the parallelism of every bench that runs
 /// independent simulations (sweeps, repetitions, trainer evaluations):
 /// unset or 0 = one job per usable CPU, 1 = serial. Results are
-/// bit-identical for any value — the exec::Pool contract — so this knob
-/// only trades wall-clock against the rest of the machine. Non-numeric
-/// or negative values abort loudly rather than silently meaning 0.
+/// bit-identical for any value — the exec::run_tasks contract — so this
+/// knob only trades wall-clock against the rest of the machine.
+/// Non-numeric or negative values abort loudly rather than silently
+/// meaning 0.
 inline int jobs_from_env() {
   const char* j = std::getenv("PHI_BENCH_JOBS");
   if (j == nullptr || *j == '\0') return 0;

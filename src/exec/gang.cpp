@@ -20,8 +20,14 @@ namespace {
 // within 64 us and 99.5% within this budget; the other 0.5% parked.
 constexpr std::chrono::microseconds kSpinBudget{300};
 
-// Threads inside multi-thread Gang::run() rounds, over the whole process.
+// Threads running the function of a multi-thread Gang::run() round,
+// over the whole process, each counted once.
 std::atomic<std::size_t> g_running_threads{0};
+
+// Whether g_running_threads counts this thread whenever it can start a
+// round: set for good on gang workers, which run nothing but round
+// functions, and on a caller while it runs fn(0).
+thread_local bool t_counted = false;
 
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -80,6 +86,7 @@ Gang::Gang(std::size_t size) : size_(size == 0 ? 1 : size) {
   impl_->threads.reserve(size_ - 1);
   for (std::size_t i = 1; i < size_; ++i) {
     impl_->threads.emplace_back([this, i] {
+      t_counted = true;
       Impl& im = *impl_;
       std::uint64_t seen = 0;
       for (;;) {
@@ -97,6 +104,7 @@ Gang::Gang(std::size_t size) : size_(size == 0 ? 1 : size) {
         } catch (...) {
           im.excs[i] = std::current_exception();
         }
+        g_running_threads.fetch_sub(1, std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> lk(im.mu);
           if (--im.active == 0) im.done_cv.notify_one();
@@ -127,9 +135,13 @@ void Gang::run(const std::function<void(std::size_t)>& fn) {
     return;
   }
   Impl& im = *impl_;
-  // Counted from before any worker starts until every one has finished,
-  // so each barrier wait inside the round sees this gang's threads.
-  g_running_threads.fetch_add(size_, std::memory_order_relaxed);
+  // Every worker is counted before any starts, so each barrier wait
+  // inside the round sees this gang's threads; each thread leaves the
+  // count when its own call returns. A caller already counted by an
+  // enclosing round is not counted twice.
+  const bool nested = t_counted;
+  g_running_threads.fetch_add(nested ? size_ - 1 : size_,
+                              std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(im.mu);
     im.fn = &fn;
@@ -138,17 +150,19 @@ void Gang::run(const std::function<void(std::size_t)>& fn) {
     ++im.epoch;
   }
   im.start_cv.notify_all();
+  t_counted = true;
   try {
     fn(0);
   } catch (...) {
     im.excs[0] = std::current_exception();
   }
+  t_counted = nested;
+  if (!nested) g_running_threads.fetch_sub(1, std::memory_order_relaxed);
   {
     std::unique_lock<std::mutex> lk(im.mu);
     im.done_cv.wait(lk, [&] { return im.active == 0; });
     im.fn = nullptr;
   }
-  g_running_threads.fetch_sub(size_, std::memory_order_relaxed);
   for (auto& e : im.excs) {
     if (e) std::rethrow_exception(e);
   }

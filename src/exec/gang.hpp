@@ -1,11 +1,12 @@
 // gang.hpp — a persistent gang of workers with static index assignment,
-// plus a reusable cyclic barrier. exec::Pool hands tasks out by atomic
-// ticket, which is the right shape for independent reps; intra-run
-// sharding needs the opposite: worker i *is* shard i for the whole run,
-// so per-shard state (scheduler, packet pool, registry) stays on one
-// thread and the barrier protocol can reason about "everyone reached the
-// window edge". The calling thread participates as worker 0, so a
-// 1-worker gang runs entirely inline and spawns nothing.
+// plus a reusable cyclic barrier. Intra-run sharding needs static
+// assignment: worker i *is* shard i for the whole run, so per-shard state
+// (scheduler, packet pool, registry) stays on one thread and the barrier
+// protocol can reason about "everyone reached the window edge". Fan-out
+// of independent reps (exec::run_tasks, pool.hpp) is one round of a gang
+// whose threads claim tasks from an atomic ticket. The calling thread
+// participates as worker 0, so a 1-worker gang runs entirely inline and
+// spawns nothing.
 #pragma once
 
 #include <atomic>
@@ -20,12 +21,12 @@ namespace phi::exec {
 /// next phase. Spin-then-park: a waiting party polls the phase word for
 /// up to a fixed time budget (most lookahead windows end within tens of
 /// microseconds of each other, far below a futex sleep-and-wake), then
-/// blocks in std::atomic::wait. A party spins only while every thread
-/// inside a multi-thread Gang::run() round, across the whole process,
-/// fits in the CPUs this process may run on (usable_cpus()); otherwise
-/// it parks at once, so a pinned or oversubscribed host (concurrent
-/// sharded reps, a one-CPU CI runner) never burns the CPU the party it
-/// waits for needs.
+/// blocks in std::atomic::wait. A party spins only while the threads
+/// running multi-thread Gang::run() rounds, across the whole process
+/// (Gang::running_threads()), fit in the CPUs this process may run on
+/// (usable_cpus()); otherwise it parks at once, so a pinned or
+/// oversubscribed host (concurrent sharded reps, a one-CPU CI runner)
+/// never burns the CPU the party it waits for needs.
 class CyclicBarrier {
  public:
   explicit CyclicBarrier(std::size_t parties);
@@ -64,8 +65,11 @@ class Gang {
 
   void run(const std::function<void(std::size_t)>& fn);
 
-  /// Threads inside a multi-thread run() round right now, summed over
-  /// every Gang in the process (the caller counts as one). CyclicBarrier
+  /// Threads running the function of a multi-thread run() round right
+  /// now, summed over every Gang in the process, each thread counted
+  /// once: a caller that an enclosing round already counts (a sharded
+  /// rep inside a run_tasks task) adds only its workers, and each thread
+  /// leaves the count as soon as its own call returns. CyclicBarrier
   /// spins only while this fits in usable_cpus().
   static std::size_t running_threads() noexcept;
 

@@ -378,7 +378,9 @@ bool ContextServer::restore_state(const std::string& text) {
         return false;
       st.window.push_back(d);
     }
-    restored.emplace(key, std::move(st));
+    // A path listed twice is malformed: keeping either block would
+    // silently drop the other.
+    if (!restored.emplace(key, std::move(st)).second) return false;
   }
   paths_ = std::move(restored);
   last_message_at_ = last_at;

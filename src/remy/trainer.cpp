@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "exec/pool.hpp"
-#include "phi/oracle.hpp"
 #include "phi/presets.hpp"
 #include "remy/phi_remy.hpp"
 #include "util/rng.hpp"

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace phi::util {
@@ -73,44 +72,6 @@ double Samples::quantile(double q) const {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= xs_.size()) return xs_.back();
   return xs_[lo] * (1.0 - frac) + xs_[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x, std::uint64_t weight) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_high(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (acc + c >= target && c > 0) {
-      const double frac = (target - acc) / c;
-      return bin_low(i) + frac * width_;
-    }
-    acc += c;
-  }
-  return hi_;
 }
 
 void EmpiricalCdf::add(std::int64_t x, std::uint64_t weight) {

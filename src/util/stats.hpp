@@ -1,6 +1,6 @@
 // stats.hpp — streaming and batch statistics used throughout the
 // experiments: Welford running moments, exact quantiles over retained
-// samples, EWMA smoothing, histograms, and empirical CDFs.
+// samples, EWMA smoothing, and empirical CDFs.
 #pragma once
 
 #include <cstddef>
@@ -130,29 +130,6 @@ class Ewma {
   double alpha_;
   double value_ = 0.0;
   bool init_ = false;
-};
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bin. Supports quantile queries over binned data.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1) noexcept;
-
-  std::uint64_t total() const noexcept { return total_; }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_low(std::size_t i) const noexcept;
-  double bin_high(std::size_t i) const noexcept;
-
-  /// Approximate quantile assuming uniform mass within each bin.
-  double quantile(double q) const noexcept;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Empirical CDF over integer-valued observations (e.g. "number of

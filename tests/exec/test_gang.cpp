@@ -122,8 +122,13 @@ TEST(Gang, ThrowingRoundLeavesRunningThreadsUnchanged) {
   const std::size_t before = Gang::running_threads();
   Gang gang(4);
   std::vector<std::size_t> inside(4, 0);
+  // A worker leaves the count when its call returns, so each reads it
+  // between two arrivals that every worker must make first.
+  CyclicBarrier barrier(4);
   EXPECT_THROW(gang.run([&](std::size_t i) {
+                 barrier.arrive_and_wait();
                  inside[i] = Gang::running_threads();
+                 barrier.arrive_and_wait();
                  if (i == 2) throw std::runtime_error("2");
                }),
                std::runtime_error);

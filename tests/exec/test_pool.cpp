@@ -1,16 +1,20 @@
 // The deterministic executor. These tests pin the contract that call
 // sites rely on: results in submission order, identical output (values
 // and folded telemetry) for any jobs value, exceptions reported by
-// lowest task index without poisoning the pool.
+// lowest task index once every task has finished, and a task round that
+// counts each of its threads once toward the window barrier's spin rule.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "exec/gang.hpp"
 #include "exec/pool.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -42,27 +46,15 @@ TEST(ResolveJobs, ZeroAndNegativeUseHardware) {
 #endif
 }
 
-TEST(Pool, JobsReportsResolvedWidth) {
-  EXPECT_EQ(Pool(1).jobs(), 1u);
-  EXPECT_EQ(Pool(4).jobs(), 4u);
-}
-
-TEST(Pool, RunsEveryTaskExactlyOnce) {
+TEST(RunTasks, RunsEveryTaskExactlyOnce) {
   for (const int jobs : {1, 2, 8}) {
     std::vector<std::atomic<int>> hits(37);
-    Pool pool(jobs);
-    pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    run_tasks(hits.size(), [&](std::size_t i) { ++hits[i]; }, jobs);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "jobs=" << jobs;
+    // An empty batch runs nothing.
+    run_tasks(0, [&](std::size_t i) { ++hits[i]; }, jobs);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "jobs=" << jobs;
   }
-}
-
-TEST(Pool, ReusableAcrossBatches) {
-  Pool pool(4);
-  std::atomic<int> total{0};
-  pool.run(10, [&](std::size_t) { ++total; });
-  pool.run(5, [&](std::size_t) { ++total; });
-  pool.run(0, [&](std::size_t) { ++total; });
-  EXPECT_EQ(total.load(), 15);
 }
 
 TEST(ParallelMap, ResultsInInputOrder) {
@@ -100,15 +92,17 @@ TEST(ParallelMap, SameResultsForAnyJobs) {
   EXPECT_EQ(serial, wide);
 }
 
-TEST(Pool, ThrowingTaskRethrownAfterAllComplete) {
-  Pool pool(4);
+TEST(RunTasks, ThrowingTaskRethrownAfterAllComplete) {
   std::vector<std::atomic<int>> done(16);
   try {
-    pool.run(done.size(), [&](std::size_t i) {
-      if (i == 5 || i == 11)
-        throw std::runtime_error("task " + std::to_string(i));
-      ++done[i];
-    });
+    run_tasks(
+        done.size(),
+        [&](std::size_t i) {
+          if (i == 5 || i == 11)
+            throw std::runtime_error("task " + std::to_string(i));
+          ++done[i];
+        },
+        4);
     FAIL() << "expected rethrow";
   } catch (const std::runtime_error& e) {
     // Lowest-index exception wins, deterministically.
@@ -118,10 +112,80 @@ TEST(Pool, ThrowingTaskRethrownAfterAllComplete) {
   for (std::size_t i = 0; i < done.size(); ++i)
     EXPECT_EQ(done[i].load(), i == 5 || i == 11 ? 0 : 1);
 
-  // ... and the pool survives for the next batch.
+  // ... and the next batch runs normally.
   std::atomic<int> total{0};
-  pool.run(8, [&](std::size_t) { ++total; });
+  run_tasks(8, [&](std::size_t) { ++total; }, 4);
   EXPECT_EQ(total.load(), 8);
+}
+
+// Records Gang::running_threads() on `parties` threads, each read between
+// two arrivals at a barrier that all of them must reach, so no thread of
+// the round has left the count yet.
+struct CountProbe {
+  explicit CountProbe(std::size_t parties)
+      : barrier(parties), seen(parties, 0) {}
+  void read(std::size_t slot) {
+    barrier.arrive_and_wait();
+    seen[slot] = Gang::running_threads();
+    barrier.arrive_and_wait();
+  }
+  CyclicBarrier barrier;
+  std::vector<std::size_t> seen;
+};
+
+// The window barrier spins only while Gang::running_threads() fits in
+// the usable CPUs, so a task round must count each of its threads once:
+// also when a task runs a sharded rep (a gang round of its own), and not
+// past the point where a thread runs out of tasks.
+TEST(RunTasks, EveryThreadCountsOnceTowardTheSpinRule) {
+  const std::size_t before = Gang::running_threads();
+  {
+    CountProbe probe(4);
+    run_tasks(4, [&](std::size_t i) { probe.read(i); }, 4);
+    for (std::size_t i = 0; i < 4; ++i)
+      EXPECT_EQ(probe.seen[i], before + 4) << "task " << i;
+  }
+  {
+    // Each task runs a 2-wide gang, as a 2-shard rep does: its caller is
+    // already counted, so the process holds 8 running threads, not 12.
+    CountProbe probe(8);
+    run_tasks(
+        4,
+        [&](std::size_t i) {
+          Gang rep(2);
+          rep.run([&](std::size_t s) { probe.read(2 * i + s); });
+        },
+        4);
+    for (std::size_t k = 0; k < 8; ++k)
+      EXPECT_EQ(probe.seen[k], before + 8) << "rep thread " << k;
+  }
+  {
+    // Two tasks start two threads, not one per job.
+    CountProbe probe(2);
+    run_tasks(2, [&](std::size_t i) { probe.read(i); }, 8);
+    for (std::size_t i = 0; i < 2; ++i)
+      EXPECT_EQ(probe.seen[i], before + 2) << "task " << i;
+  }
+  {
+    // Threads that ran out of tasks leave the count while the last task
+    // still runs.
+    std::size_t last = 0;
+    run_tasks(
+        3,
+        [&](std::size_t i) {
+          if (i != 2) return;
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          do {
+            last = Gang::running_threads();
+            std::this_thread::yield();
+          } while (last != before + 1 &&
+                   std::chrono::steady_clock::now() < give_up);
+        },
+        3);
+    EXPECT_EQ(last, before + 1);
+  }
+  EXPECT_EQ(Gang::running_threads(), before);
 }
 
 #ifndef PHI_TELEMETRY_OFF
@@ -129,24 +193,26 @@ TEST(Pool, ThrowingTaskRethrownAfterAllComplete) {
 // Telemetry published by tasks folds into the submitter's registry in
 // submission order — so the merged registry is identical however many
 // threads ran the batch.
-TEST(Pool, TelemetryFoldIsJobsInvariant) {
+TEST(RunTasks, TelemetryFoldIsJobsInvariant) {
   auto run_with = [](int jobs) {
     telemetry::MetricRegistry captured;
     {
       telemetry::ScopedRegistry scope(captured);
-      Pool pool(jobs);
-      pool.run(24, [](std::size_t i) {
-        telemetry::registry().counter("test.pool.tasks").add();
-        telemetry::registry()
-            .counter("test.pool.weight")
-            .add(static_cast<std::uint64_t>(i));
-        // Gauge semantics: last writer in submission order wins.
-        telemetry::registry().gauge("test.pool.last").set(
-            static_cast<double>(i));
-        telemetry::registry()
-            .histogram("test.pool.size")
-            .observe(static_cast<double>(i + 1));
-      });
+      run_tasks(
+          24,
+          [](std::size_t i) {
+            telemetry::registry().counter("test.pool.tasks").add();
+            telemetry::registry()
+                .counter("test.pool.weight")
+                .add(static_cast<std::uint64_t>(i));
+            // Gauge semantics: last writer in submission order wins.
+            telemetry::registry().gauge("test.pool.last").set(
+                static_cast<double>(i));
+            telemetry::registry()
+                .histogram("test.pool.size")
+                .observe(static_cast<double>(i + 1));
+          },
+          jobs);
     }
     return captured.json();
   };
@@ -160,26 +226,27 @@ TEST(Pool, TelemetryFoldIsJobsInvariant) {
   telemetry::MetricRegistry captured;
   {
     telemetry::ScopedRegistry scope(captured);
-    Pool pool(8);
-    pool.run(24, [](std::size_t i) {
-      telemetry::registry().gauge("g").set(static_cast<double>(i));
-      telemetry::registry().counter("c").add();
-    });
+    run_tasks(
+        24,
+        [](std::size_t i) {
+          telemetry::registry().gauge("g").set(static_cast<double>(i));
+          telemetry::registry().counter("c").add();
+        },
+        8);
   }
   EXPECT_DOUBLE_EQ(captured.gauge("g").value(), 23.0);
   EXPECT_EQ(captured.counter("c").value(), 24u);
 }
 
 // A worker task's instruments must not leak into the global registry.
-TEST(Pool, TasksDoNotTouchGlobalRegistry) {
+TEST(RunTasks, TasksDoNotTouchGlobalRegistry) {
   const std::string name = "test.pool.isolated";
   telemetry::MetricRegistry captured;
   {
     telemetry::ScopedRegistry scope(captured);
-    Pool pool(4);
-    pool.run(4, [&](std::size_t) {
-      telemetry::registry().counter(name).add();
-    });
+    run_tasks(
+        4, [&](std::size_t) { telemetry::registry().counter(name).add(); },
+        4);
   }
   EXPECT_EQ(captured.counter(name).value(), 4u);
   EXPECT_EQ(telemetry::MetricRegistry::global().counter(name).value(), 0u);

@@ -68,6 +68,9 @@ TEST(Persistence, RejectsGarbageWithoutClobbering) {
   const double u_before = a.context(1).utilization;
   EXPECT_FALSE(a.restore_state("not a state blob"));
   EXPECT_FALSE(a.restore_state("phi-context-server-state v1\n0 0\npath x"));
+  // The server's own snapshot with its path block listed a second time.
+  const std::string blob = a.serialize_state();
+  EXPECT_FALSE(a.restore_state(blob + blob.substr(blob.find("path "))));
   EXPECT_NEAR(a.context(1).utilization, u_before, 1e-12);
 }
 

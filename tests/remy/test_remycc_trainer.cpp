@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "phi/oracle.hpp"
 #include "phi/presets.hpp"
 #include "remy/remycc.hpp"
 #include "remy/trainer.hpp"

@@ -134,36 +134,6 @@ TEST(Ewma, ResetAndForce) {
   EXPECT_NEAR(e.value(), 7.0, 1e-12);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamped to bin 0
-  h.add(100.0);  // clamped to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_NEAR(h.bin_low(3), 3.0, 1e-12);
-  EXPECT_NEAR(h.bin_high(3), 4.0, 1e-12);
-}
-
-TEST(Histogram, QuantileUniformWithinBin) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(4.5);  // all in bin 4
-  const double q = h.quantile(0.5);
-  EXPECT_GE(q, 4.0);
-  EXPECT_LE(q, 5.0);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(0.5, 3);
-  h.add(3.5, 1);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_LT(h.quantile(0.5), 1.0);
-  EXPECT_GT(h.quantile(0.9), 3.0);
-}
-
 TEST(EmpiricalCdf, FractionsAndQuantiles) {
   EmpiricalCdf c;
   c.add(0, 10);
